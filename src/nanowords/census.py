@@ -14,14 +14,11 @@ unproven).
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass, field, replace
 
 from . import invariants, moves, words
-from .moves import DEFAULT_MAX_MEMBERS, DEFAULT_MAX_STEPS, TruncationError
-from .words import Nanoword, parse_nanoword
-
-_ALPHA = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+from .moves import DEFAULT_MAX_MEMBERS, DEFAULT_MAX_STEPS
+from .words import _ALPHA, Nanoword, parse_nanoword
 
 MIRROR_ONLY = "+"
 INVERSE_ONLY = "i"
@@ -64,11 +61,6 @@ def increasing_gauss_words(n: int, skip_adjacent_doubles: bool = False):
     yield from rec(0)
 
 
-def _type_strings(n: int):
-    for bits in itertools.product("ab", repeat=n):
-        yield "".join(bits)
-
-
 def candidates(
     n: int,
     max_members: int = DEFAULT_MAX_MEMBERS,
@@ -93,16 +85,18 @@ def candidates(
 
 
 def _survivors_of_word(word, seen, max_members, max_steps):
+    # An increasing Gauss word is already in the encoded normal form:
+    # letter k is the k-th alphabet letter, and its type is bit k.
+    letters = tuple(_ALPHA.index(x) for x in word)
     out = []
-    for types in _type_strings(len(word) // 2):
-        nw = Nanoword(word, types)
-        state = moves._encode(nw)
+    for types in itertools.product((0, 1), repeat=len(word) // 2):
+        state = (letters, types)
         if state in seen:
             # already visited inside some earlier class: that class was
             # either discarded or produced its (smaller) minimal member
             continue
         if _is_minimal_irreducible(state, seen, max_members, max_steps):
-            out.append(nw)
+            out.append(moves._decode(state))
     return out
 
 
@@ -114,32 +108,19 @@ def _is_minimal_irreducible(start, seen, max_members, max_steps):
     them starting a later exploration would be rejected for the same
     reason, so each 3-class is explored at most once per run.
     """
-    if moves._reducible_state(start):
-        seen.add(start)
-        return False
-    local = {start}
-    queue = deque([start])
-    steps = 0
-    verdict = True
-    while queue:
-        state = queue.popleft()
-        for nxt in moves._neighbors(state):
-            steps += 1
-            if steps > max_steps or len(local) >= max_members:
-                raise TruncationError(
-                    f"3-class of {moves._decode(start)} exceeded limits "
-                    f"(members={len(local)}, steps={steps})"
-                )
-            if nxt in local:
-                continue
-            local.add(nxt)
-            if nxt < start or moves._reducible_state(nxt):
-                verdict = False
-                queue.clear()
-                break
-            queue.append(nxt)
+    local, found, limit = moves._explore(
+        start,
+        moves._neighbors,
+        lambda s: s < start or moves._reducible_state(s),
+        max_members,
+        max_steps,
+    )
+    if limit is not None:
+        raise moves._truncation(
+            f"3-class of {moves._decode(start)}", limit, max_members, max_steps
+        )
     seen.update(local)
-    return verdict
+    return found is None
 
 
 def _candidate_chunk(args):

@@ -533,6 +533,3 @@ def display_theta(bm: BasedMatrix) -> tuple[int, ...]:
     ids = [prim.index(g) for g in order]
     return theta([[prim.entries[i][j] for j in ids] for i in ids])
 
-
-def string_display_phi(nw: Nanoword) -> tuple[int, ...]:
-    return display_theta(based_matrix(nw))

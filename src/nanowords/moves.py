@@ -19,6 +19,17 @@ swap applied to the two pattern shapes.
 On top of the raw schemata this module provides the 3-class (closure
 under shift and 3-moves), reducibility, and a greedy reduction driver
 that repeatedly removes crossings until the 3-class is irreducible.
+
+Every search runs on the encoded ``State`` through one bounded
+breadth-first engine, ``_explore``: it takes a successor function and a
+stop predicate, and gives back the distinct states it admitted, the first
+admitted state satisfying the predicate, and the limit it hit, if any.
+A step is one generated successor; the member limit is checked only when
+a new distinct state would be admitted.  ``three_class`` reports a hit
+limit on its result; every other search raises :class:`TruncationError`
+naming the limit and its value.  The public string-level API
+(``applicable_moves``/``apply_move``) validates outside input and is the
+reference the ``State`` successors are tested against.
 """
 
 from __future__ import annotations
@@ -27,7 +38,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .words import (
-    EMPTY,
+    _ALPHA,
     MAX_LETTERS,
     TYPE_A,
     TYPE_B,
@@ -58,19 +69,21 @@ INSERT = "insert"
 DEFAULT_MAX_MEMBERS = 10**6
 DEFAULT_MAX_STEPS = 10**7
 
-_ALPHA = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
-
 
 class MoveError(ValueError):
     """A move instance does not (or no longer does) match its nanoword."""
 
 
 class TruncationError(RuntimeError):
-    """An exploration hit its limits; ``partial`` carries the best-so-far."""
+    """An exploration hit its limits; ``partial`` carries the best-so-far.
 
-    def __init__(self, message: str, partial=None):
+    ``limit`` names the limit that was hit: ``"members"`` or ``"steps"``.
+    """
+
+    def __init__(self, message: str, partial=None, limit: str | None = None):
         super().__init__(message)
         self.partial = partial
+        self.limit = limit
 
 
 @dataclass(frozen=True)
@@ -161,12 +174,14 @@ def _shift_state(state: State) -> State:
     return _norm(word[1:] + (x,), new_types)
 
 
-def _reducible_state(state: State) -> bool:
+def _removable_letters(state: State):
+    """Letter sets an H1, H2 or H2a removal deletes, in the order of
+    :func:`_removal_instances`: H1 by position, then by first letter."""
     word, types = state
     L = len(word)
     for r in range(L - 1):
         if word[r] == word[r + 1]:
-            return True
+            yield (word[r],)
     pos = _positions(word)
     for x, (i, j) in enumerate(pos):
         if i + 1 >= L:
@@ -176,18 +191,54 @@ def _reducible_state(state: State) -> bool:
             continue
         iy, jy = pos[y]
         if iy == i + 1 and (jy == j - 1 or jy == j + 1):
-            return True
-    return False
+            yield (x, y)
+
+
+def _reducible_state(state: State) -> bool:
+    return next(_removable_letters(state), None) is not None
+
+
+def _without(state: State, letters) -> State:
+    word, types = state
+    return _norm([x for x in word if x not in letters], types)
+
+
+def _removals(state: State) -> list[State]:
+    return [_without(state, letters) for letters in _removable_letters(state)]
+
+
+def _insertions(state: State, max_letters: int) -> list[State]:
+    """Fresh-letter H1, H2, H2a insertions up to ``max_letters`` letters,
+    in the order of :func:`_insertion_instances`."""
+    word, types = state
+    n, L = len(types), len(word)
+    out = []
+    if n + 1 <= max_letters:
+        for u in range(L + 1):
+            for t in (0, 1):
+                out.append((word[:u] + (n, n) + word[u:], types + (t,)))
+    if n + 2 <= max_letters:
+        x, y = n, n + 1
+        for u in range(L + 1):
+            for v in range(u, L + 1):
+                head = word[:u] + (x, y) + word[u:v]
+                for t in (0, 1):
+                    new_types = types + (t, 1 - t)
+                    out.append((head + (y, x) + word[v:], new_types))
+                    out.append((head + (x, y) + word[v:], new_types))
+    return [_norm(w, t) for w, t in out]
 
 
 # The eight directed H3-family patterns.  Each match is a triple of
 # disjoint adjacent pairs at positions (p, p+1), (q, q+1), (r, r+1) with
 # p+1 < q and q+1 < r; the rewrite reverses all three pairs.  The letter
 # roles (A, B, C) below follow the schema texts in the module docstring.
-#
-# _same(tA, tB, tC) encodes the type constraint for each schema.
+# Renaming letters moves no position, so the matches found on the encoded
+# state are the matches on the nanoword it encodes.
 
-def _h3_matches(word: tuple[int, ...], types, pos) -> list[tuple[str, str, int, int, int]]:
+def _h3_matches(state: State) -> list[tuple[str, str, int, int, int]]:
+    word, types = state
+    pos = _positions(word)
     L = len(word)
     out = []
     for p in range(L - 1):
@@ -294,7 +345,7 @@ def _h3_matches(word: tuple[int, ...], types, pos) -> list[tuple[str, str, int, 
     return out
 
 
-def _swap_pairs(word: tuple[int, ...], p: int, q: int, r: int) -> tuple[int, ...]:
+def _swap_pairs(word, p: int, q: int, r: int) -> tuple:
     w = list(word)
     w[p], w[p + 1] = w[p + 1], w[p]
     w[q], w[q + 1] = w[q + 1], w[q]
@@ -304,18 +355,56 @@ def _swap_pairs(word: tuple[int, ...], p: int, q: int, r: int) -> tuple[int, ...
 
 def _h3_successors(state: State) -> list[State]:
     word, types = state
-    pos = _positions(word)
-    type_of = dict(enumerate(types))
-    out = []
-    for _, _, p, q, r in _h3_matches(word, types, pos):
-        out.append(_norm(_swap_pairs(word, p, q, r), type_of))
-    return out
+    return [_norm(_swap_pairs(word, p, q, r), types) for _, _, p, q, r in _h3_matches(state)]
 
 
 def _neighbors(state: State) -> list[State]:
     if not state[0]:
         return []
     return [_shift_state(state)] + _h3_successors(state)
+
+
+def _escape_successors(state: State, max_letters: int) -> list[State]:
+    """Every move of :func:`applicable_moves` with insertions, in its
+    order: shift, removals, H3 family, insertions up to ``max_letters``."""
+    shift = [_shift_state(state)] if state[0] else []
+    return shift + _removals(state) + _h3_successors(state) + _insertions(state, max_letters)
+
+
+def _explore(start: State, successors, stop, max_members: int, max_steps: int):
+    """Bounded breadth-first search over states from ``start``.
+
+    Returns ``(seen, found, limit)``: the distinct states admitted, the
+    first admitted state satisfying ``stop`` (``start`` included; never,
+    when ``stop`` is None) or None, and ``"members"``/``"steps"`` if that
+    limit ended the search early, else None.  A step is one generated
+    successor; the member limit is checked only when a new distinct state
+    would be admitted.
+    """
+    seen = {start}
+    if stop is not None and stop(start):
+        return seen, start, None
+    queue = deque([start])
+    steps = 0
+    while queue:
+        for nxt in successors(queue.popleft()):
+            steps += 1
+            if steps > max_steps:
+                return seen, None, "steps"
+            if nxt in seen:
+                continue
+            if len(seen) >= max_members:
+                return seen, None, "members"
+            seen.add(nxt)
+            if stop is not None and stop(nxt):
+                return seen, nxt, None
+            queue.append(nxt)
+    return seen, None, None
+
+
+def _truncation(what: str, limit: str, max_members: int, max_steps: int, partial=None):
+    value = max_members if limit == "members" else max_steps
+    return TruncationError(f"{what} exceeded max_{limit}={value}", partial, limit)
 
 
 # ---------------------------------------------------------------------------
@@ -414,10 +503,7 @@ def applicable_moves(
     out.extend(_removal_instances(nw, kinds))
     h3_wanted = kinds & set(H3_KINDS)
     if h3_wanted and nw.word:
-        state_word = tuple(nw.word)
-        types = nw.type_map
-        pos = {x: nw.occurrences(x) for x in nw.letters}
-        for kind, direction, p, q, r in _h3_matches(state_word, types, pos):
+        for kind, direction, p, q, r in _h3_matches(_encode(nw)):
             if kind in h3_wanted:
                 if direction == FORWARD:
                     letters = (nw.word[p], nw.word[p + 1], nw.word[q + 1] if kind in (H3, H3C) else nw.word[q])
@@ -478,20 +564,8 @@ def apply_move(nw: Nanoword, m: MoveInstance) -> Nanoword:
             second = x + y if m.kind == H2A else y + x
             out = _insert(nw, [(u, x + y), (v, second)], dict(zip(m.letters, m.new_types)))
     else:
-        check(m.kind in H3_KINDS)
-        p, q, r = m.positions
-        check(0 <= p and r + 1 < L)
-        pos = {x: nw.occurrences(x) for x in nw.letters}
-        matches = {
-            (kind, direction, pp, qq, rr)
-            for kind, direction, pp, qq, rr in _h3_matches(tuple(word), nw.type_map, pos)
-        }
-        check((m.kind, m.direction, p, q, r) in matches)
-        new_word = list(word)
-        new_word[p], new_word[p + 1] = new_word[p + 1], new_word[p]
-        new_word[q], new_word[q + 1] = new_word[q + 1], new_word[q]
-        new_word[r], new_word[r + 1] = new_word[r + 1], new_word[r]
-        out = Nanoword("".join(new_word), nw.types)
+        check((m.kind, m.direction, *m.positions) in _h3_matches(_encode(nw)))
+        out = Nanoword("".join(_swap_pairs(word, *m.positions)), nw.types)
     normalized, _ = normalize_increasing(out)
     return normalized
 
@@ -536,45 +610,16 @@ def three_class(
     so members are isomorphism classes.  Truncation is reported on the
     result, never raised.
     """
-    start = _encode(nw)
-    seen = {start}
-    queue = deque([start])
-    reducible = _reducible_state(start)
-    steps = 0
-    truncated = False
-    limit_hit = None
-    while queue:
-        state = queue.popleft()
-        for nxt in _neighbors(state):
-            steps += 1
-            if steps > max_steps:
-                truncated, limit_hit = True, "steps"
-                queue.clear()
-                break
-            if nxt in seen:
-                continue
-            if len(seen) >= max_members:
-                truncated, limit_hit = True, "members"
-                queue.clear()
-                break
-            seen.add(nxt)
-            reducible = reducible or _reducible_state(nxt)
-            queue.append(nxt)
-    members = frozenset(_decode(s) for s in seen)
+    seen, _, limit = _explore(_encode(nw), _neighbors, None, max_members, max_steps)
     return ThreeClass(
-        members=members,
+        members=frozenset(_decode(s) for s in seen),
         min_member=_decode(min(seen)),
-        reducible=reducible,
-        truncated=truncated,
-        limit_hit=limit_hit,
+        reducible=any(_reducible_state(s) for s in seen),
+        truncated=limit is not None,
+        limit_hit=limit,
         max_members=max_members,
         max_steps=max_steps,
     )
-
-
-def _one_reduction(nw: Nanoword) -> Nanoword:
-    inst = _removal_instances(nw, REMOVAL_KINDS)[0]
-    return apply_move(nw, inst)
 
 
 def reduce_to_irreducible(
@@ -585,83 +630,55 @@ def reduce_to_irreducible(
 ) -> Nanoword:
     """Greedy descent to an irreducible 3-class; returns its minimal member.
 
-    Explores the current 3-class; whenever a reducible member appears, a
-    crossing-reducing move is applied to the smallest reducible member
-    found and the search restarts from the smaller word.  Terminates
-    because the letter count strictly decreases on every round.  With
-    ``max_extra_letters > 0`` an irreducible class is additionally probed
-    through insertion moves (bounded by the budget) for an escape to a
-    smaller word; the default budget of 0 never inserts.
+    Explores the current 3-class; as soon as a reducible member appears,
+    its first crossing-reducing move is applied and the search restarts
+    from the smaller word.  Terminates because the letter count strictly
+    decreases on every round.  With ``max_extra_letters > 0`` an
+    irreducible class is additionally probed through insertion moves
+    (bounded by the budget) for an escape to a smaller word; the default
+    budget of 0 never inserts.
 
     Note the result is the minimal member of *an* irreducible 3-class of
     the input's homotopy class.  Distinct irreducible 3-classes of one
     homotopy class are not known to be impossible, so callers must compare
     results via invariants, not by word equality alone.
     """
-    current, _ = normalize_increasing(nw)
+    state = _encode(nw)
     while True:
-        state = _encode(current)
-        seen = {state}
-        queue = deque([state])
-        steps = 0
-        reducible_member: State | None = None
-        if _reducible_state(state):
-            reducible_member = state
-        while queue and reducible_member is None:
-            s = queue.popleft()
-            for nxt in _neighbors(s):
-                steps += 1
-                if steps > max_steps or len(seen) >= max_members:
-                    raise TruncationError(
-                        f"3-class of {current} exceeded limits", partial=current
-                    )
-                if nxt in seen:
-                    continue
-                seen.add(nxt)
-                if _reducible_state(nxt):
-                    reducible_member = nxt
-                    queue.clear()
-                    break
-                queue.append(nxt)
-        if reducible_member is not None:
-            current = _one_reduction(_decode(reducible_member))
+        seen, found, limit = _explore(
+            state, _neighbors, _reducible_state, max_members, max_steps
+        )
+        if limit is not None:
+            current = _decode(state)
+            raise _truncation(f"3-class of {current}", limit, max_members, max_steps, current)
+        if found is not None:
+            state = _without(found, next(_removable_letters(found)))
             continue
         if max_extra_letters > 0:
             smaller = _escape_with_insertions(
-                current, max_extra_letters, max_members, max_steps
+                state, max_extra_letters, max_members, max_steps
             )
             if smaller is not None:
-                current = smaller
+                state = smaller
                 continue
         return _decode(min(seen))
 
 
-def _escape_with_insertions(nw, budget, max_members, max_steps):
+def _escape_with_insertions(start, budget, max_members, max_steps):
     # Full move graph (including insertions) bounded by letter budget,
     # hunting for any word with fewer letters than the start.
-    limit = nw.crossings + budget
-    start = _encode(nw)
-    seen = {start}
-    queue = deque([start])
-    steps = 0
-    while queue:
-        s = queue.popleft()
-        word = _decode(s)
-        for m in applicable_moves(word, ALL_KINDS, allow_insertions=True):
-            if m.direction == INSERT:
-                added = 1 if m.kind == H1 else 2
-                if word.crossings + added > limit:
-                    continue
-            nxt = _encode(apply_move(word, m))
-            steps += 1
-            if steps > max_steps or len(seen) >= max_members:
-                raise TruncationError(
-                    f"insertion search from {nw} exceeded limits", partial=nw
-                )
-            if nxt in seen:
-                continue
-            if len(nxt[1]) < nw.crossings:
-                return _decode(nxt)
-            seen.add(nxt)
-            queue.append(nxt)
-    return None
+    n = len(start[1])
+    max_letters = min(n + budget, MAX_LETTERS)
+    _, found, limit = _explore(
+        start,
+        lambda s: _escape_successors(s, max_letters),
+        lambda s: len(s[1]) < n,
+        max_members,
+        max_steps,
+    )
+    if limit is not None:
+        current = _decode(start)
+        raise _truncation(
+            f"insertion search from {current}", limit, max_members, max_steps, current
+        )
+    return found

@@ -78,6 +78,7 @@ class TestEnumerateCommand:
         )
         assert code == 2
         assert "truncated" in err
+        assert "max_members=2" in err
 
     def test_cache_roundtrip(self, capsys, tmp_path):
         run(capsys, "enumerate", "--crossings", "3", "--cache", str(tmp_path))

@@ -5,9 +5,13 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nanowords.census import candidates
 from nanowords.moves import (
     ALL_KINDS,
     MoveError,
+    TruncationError,
+    _encode,
+    _escape_successors,
     applicable_moves,
     apply_move,
     is_reducible,
@@ -167,6 +171,21 @@ class TestApply:
         with pytest.raises(MoveError):
             apply_move(parse_nanoword("ABAB:ab"), m)
 
+    def test_state_successors_match_public_moves(self):
+        # the search successors on encoded states are the public moves,
+        # insertions limited to the same letter budget, in the same order
+        rng = random.Random(7)
+        for _ in range(150):
+            nw = random_nanoword(rng, rng.randint(0, 4))
+            max_letters = nw.crossings + rng.randint(0, 2)
+            expected = [
+                _encode(apply_move(nw, m))
+                for m in applicable_moves(nw, ALL_KINDS, allow_insertions=True)
+                if m.direction != "insert"
+                or nw.crossings + len(m.letters) <= max_letters
+            ]
+            assert _escape_successors(_encode(nw), max_letters) == expected, nw
+
     def test_letter_count_deltas(self):
         rng = random.Random(11)
         for _ in range(200):
@@ -263,11 +282,32 @@ class TestThreeClass:
         assert tc.truncated and tc.limit_hit == "steps"
 
     def test_reduce_truncation_carries_partial(self):
-        from nanowords.moves import TruncationError
-
         with pytest.raises(TruncationError) as err:
             reduce_to_irreducible(parse_nanoword("ABACBC:aab"), max_steps=2)
         assert err.value.partial is not None
+        assert err.value.limit == "steps"
+        assert "max_steps=2" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "search",
+        [
+            lambda m: three_class(parse_nanoword("ABACBC:aab"), max_members=m).limit_hit,
+            lambda m: reduce_to_irreducible(parse_nanoword("ABACBC:aab"), max_members=m) and None,
+            lambda m: candidates(3, max_members=m) and None,
+        ],
+        ids=["three_class", "reduce_to_irreducible", "candidates"],
+    )
+    def test_member_limit_counts_distinct_states(self, search):
+        # the 3-class of ABACBC:aab has exactly 6 members
+        def limit_hit(max_members):
+            try:
+                return search(max_members)
+            except TruncationError as err:
+                assert "max_members=5" in str(err)
+                return err.limit
+
+        assert limit_hit(6) is None
+        assert limit_hit(5) == "members"
 
     def test_stale_h3_instance(self):
         nw = parse_nanoword("ABACBC:aaa")
