@@ -188,22 +188,59 @@ class UnresolvedGroup:
 
 @dataclass
 class CensusTable:
+    """Records and unresolved groups, with lookups by id, phi and word.
+
+    Fill the lists through :meth:`add`, which indexes what it appends.
+    The indexes hold list positions, so a record replaced in place by one
+    with the same id and phi (as the symmetry stage does) is what the
+    lookups return.
+    """
+
     max_crossings: int = -1
     records: list[StringRecord] = field(default_factory=list)
     unresolved: list[UnresolvedGroup] = field(default_factory=list)
     limits: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        self._record_at: dict[str, int] = {}
+        self._records_at: dict[tuple, list[int]] = {}
+        self._groups_at: dict[tuple, list[int]] = {}
+        self._word_phi: dict[Nanoword, tuple] = {}
+        self._index(0, 0)
+
+    def add(self, records=(), unresolved=()) -> None:
+        """Append records and unresolved groups, keeping the indexes in step."""
+        start = len(self.records), len(self.unresolved)
+        self.records.extend(records)
+        self.unresolved.extend(unresolved)
+        self._index(*start)
+
+    def _index(self, first_record: int, first_group: int) -> None:
+        # A word in several places has one phi, so the first entry stands.
+        for k in range(first_record, len(self.records)):
+            r = self.records[k]
+            self._record_at.setdefault(r.id, k)
+            self._records_at.setdefault(r.phi, []).append(k)
+            self._word_phi.setdefault(r.nanoword, r.phi)
+        for k in range(first_group, len(self.unresolved)):
+            g = self.unresolved[k]
+            self._groups_at.setdefault(g.phi, []).append(k)
+            for m in g.members:
+                self._word_phi.setdefault(m, g.phi)
+
     def by_id(self, rid: str) -> StringRecord:
-        for r in self.records:
-            if r.id == rid:
-                return r
-        raise KeyError(rid)
+        return self.records[self._record_at[rid]]
 
     def by_phi(self, phi: tuple[int, ...]) -> list[StringRecord]:
-        return [r for r in self.records if r.phi == phi]
+        return [self.records[k] for k in self._records_at.get(phi, ())]
 
     def groups_by_phi(self, phi: tuple[int, ...]) -> list[UnresolvedGroup]:
-        return [g for g in self.unresolved if g.phi == phi]
+        return [self.unresolved[k] for k in self._groups_at.get(phi, ())]
+
+    def phi_of(self, nw: Nanoword) -> tuple[int, ...]:
+        """phi of ``nw``: stored for a census word, computed otherwise."""
+        phi = self._word_phi.get(nw)
+        return invariants.string_phi(nw).phi if phi is None else phi
 
     def counts(self) -> dict[int, int]:
         out: dict[int, int] = {}
@@ -257,7 +294,7 @@ def identify(
         max_members=max_members,
         max_steps=max_steps,
     )
-    phi = invariants.string_phi(reduced).phi
+    phi = census.phi_of(reduced)
     groups = census.groups_by_phi(phi)
     if groups:
         names = sorted(str(m) for g in groups for m in g.members)
@@ -272,13 +309,13 @@ def identify(
             stats = invariants.n_values(word)
             top = max((abs(v) for v in stats.n.values()), default=0)
             return tuple(
-                invariants.string_phi(
+                census.phi_of(
                     moves.reduce_to_irreducible(
-                        invariants.covering(word, r),
+                        invariants.covering_of(word, stats, r),
                         max_members=max_members,
                         max_steps=max_steps,
                     )
-                ).phi
+                )
                 for r in range(2, top + 2)
             )
         target = signature(reduced)
@@ -310,11 +347,15 @@ def distinguish(
     singleton candidates become records.
     """
     keyed: dict[tuple, list[Nanoword]] = {}
-    stats = {}
+    stats, bms, cfs = {}, {}, {}
     for nw in cands:
         stats[nw] = invariants.n_values(nw)
-        cf = invariants.canonical_form(invariants.based_matrix(nw))
+        bms[nw] = invariants.based_matrix(nw)
+        cfs[nw] = cf = invariants.canonical_form(bms[nw])
         keyed.setdefault((cf.rho, cf.phi), []).append(nw)
+
+    def record(nw):
+        return _make_record(nw, stats[nw], bms[nw], cfs[nw], prior, max_members, max_steps)
 
     records: list[StringRecord] = []
     unresolved: list[UnresolvedGroup] = []
@@ -332,22 +373,21 @@ def distinguish(
 
     for (rho, phi), group, prior_hits in pending:
         if len(group) == 1 and not prior_hits:
-            records.append(_make_record(group[0], stats[group[0]], prior, max_members, max_steps))
+            records.append(record(group[0]))
             continue
         refined = _refine_by_coverings(
             group, prior_hits, stats, prior, max_members, max_steps
         )
         for bucket_cands, bucket_priors in refined:
             if len(bucket_cands) == 1 and not bucket_priors:
-                records.append(
-                    _make_record(bucket_cands[0], stats[bucket_cands[0]], prior, max_members, max_steps)
-                )
+                records.append(record(bucket_cands[0]))
             elif bucket_cands:
                 members = tuple(
                     sorted([r.nanoword for r in bucket_priors] + bucket_cands)
                 )
+                first = members[0]
                 disp = invariants.display_theta(
-                    invariants.based_matrix(min(members))
+                    bms[first] if first in bms else invariants.based_matrix(first)
                 )
                 unresolved.append(
                     UnresolvedGroup(members=members, rho=rho, phi=phi, phi_display=disp)
@@ -361,12 +401,12 @@ def distinguish(
     return records, unresolved
 
 
-def _make_record(nw, stats, prior, max_members, max_steps):
-    bm = invariants.based_matrix(nw)
-    cf = invariants.canonical_form(bm)
+def _make_record(nw, stats, bm, cf, prior, max_members, max_steps):
+    # stats, bm and cf are the n-values, based matrix and canonical form
+    # of nw that distinguish has already computed.
     coverings = {}
     for r in _covering_radii(stats):
-        cov = invariants.covering(nw, r)
+        cov = invariants.covering_of(nw, stats, r)
         if cov == nw:
             coverings[r] = "self"
         else:
@@ -374,7 +414,7 @@ def _make_record(nw, stats, prior, max_members, max_steps):
     return StringRecord(
         id="?",
         nanoword=nw,
-        u=invariants.u_polynomial(nw),
+        u=invariants.u_of(stats),
         rho=cf.rho,
         phi=cf.phi,
         phi_display=invariants.display_theta(bm),
@@ -400,11 +440,11 @@ def _refine_by_coverings(group, prior_hits, stats, prior, max_members, max_steps
     for nw, is_cand in members:
         sig = []
         for r in radii:
-            cov = invariants.covering(nw, r)
+            cov = invariants.covering_of(nw, all_stats[nw], r)
             reduced = moves.reduce_to_irreducible(
                 cov, max_members=max_members, max_steps=max_steps
             )
-            sig.append(invariants.string_phi(reduced).phi)
+            sig.append(prior.phi_of(reduced))
         bucket = buckets.setdefault(tuple(sig), ([], []))
         if is_cand:
             bucket[0].append(nw)
@@ -431,8 +471,7 @@ def build_census(
         records, unresolved = distinguish(
             cands, census, n, max_members, max_steps, warn
         )
-        census.records.extend(records)
-        census.unresolved.extend(unresolved)
+        census.add(records, unresolved)
     if with_symmetry:
         for i, rec in enumerate(census.records):
             census.records[i] = symmetry_classify(rec, census, max_members, max_steps)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -89,34 +90,47 @@ def _cache_file(cache_dir: Path, n: int) -> Path:
 
 
 def save_census(census: cz.CensusTable, cache_dir: Path) -> None:
+    """Write one file per crossing number, each replaced atomically."""
     cache_dir.mkdir(parents=True, exist_ok=True)
     for n in range(census.max_crossings + 1):
+        path = _cache_file(cache_dir, n)
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         payload = census_to_json(census, n)
-        _cache_file(cache_dir, n).write_text(
-            json.dumps(payload, indent=1, sort_keys=True) + "\n"
-        )
+        try:
+            tmp.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
+
+
+def _group_from_json(g: dict) -> cz.UnresolvedGroup:
+    return cz.UnresolvedGroup(
+        members=tuple(parse_nanoword(t) for t in g["members"]),
+        rho=g["rho"],
+        phi=tuple(g["phi"]),
+        phi_display=tuple(g["phi_display"]),
+    )
 
 
 def load_census(cache_dir: Path, max_n: int) -> cz.CensusTable | None:
+    """The cached census up to ``max_n`` crossings, or None on a miss.
+
+    A missing, unreadable or malformed file, or one of another cache
+    version, is a miss.
+    """
     census = cz.CensusTable(max_crossings=max_n)
     for n in range(max_n + 1):
-        path = _cache_file(cache_dir, n)
-        if not path.exists():
+        try:
+            data = json.loads(_cache_file(cache_dir, n).read_text())
+            if data.get("version") != CACHE_VERSION or data.get("crossings") != n:
+                return None
+            records = [_record_from_json(d) for d in data["records"]]
+            groups = [_group_from_json(g) for g in data.get("unresolved", [])]
+            limits = data.get("meta", {}).get("limits", census.limits)
+        except (OSError, ValueError, LookupError, TypeError, AttributeError):
             return None
-        data = json.loads(path.read_text())
-        if data.get("version") != CACHE_VERSION or data.get("crossings") != n:
-            return None
-        census.records.extend(_record_from_json(d) for d in data["records"])
-        for g in data.get("unresolved", []):
-            census.unresolved.append(
-                cz.UnresolvedGroup(
-                    members=tuple(parse_nanoword(t) for t in g["members"]),
-                    rho=g["rho"],
-                    phi=tuple(g["phi"]),
-                    phi_display=tuple(g["phi_display"]),
-                )
-            )
-        census.limits = data.get("meta", {}).get("limits", census.limits)
+        census.add(records, groups)
+        census.limits = limits
     return census
 
 
@@ -320,7 +334,11 @@ def cmd_cover(args) -> int:
     except NanowordError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    raw = invariants.covering_raw(nw, args.r)
+    try:
+        raw = invariants.covering_raw(nw, args.r)
+    except invariants.InvariantError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         census = obtain_census(args, args.crossings)
         name = cz.identify(

@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .words import TYPE_A, TYPE_B, Nanoword, normalize_increasing
+from .words import TYPE_A, Nanoword, normalize_increasing
 
 # Orientation conventions, pinned by the reference census tables (see
 # tests).  Three independent binary choices: which crossing type is
@@ -50,33 +50,31 @@ class InvariantError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _alternate(nw: Nanoword, x: str, y: str) -> bool:
-    sub = [c for c in nw.word if c == x or c == y]
-    return sub in ([x, y, x, y], [y, x, y, x])
-
-
 def linking(nw: Nanoword, x: str, y: str) -> int:
     """lk(x, y): 0 if the letters do not alternate, otherwise +-1.
 
-    The sign is read off by simulation: shift-rotate the word until it
-    begins with x and x has type a (rotating a letter flips its type, so
-    this happens within two full turns); then y's type a/b gives +1/-1.
+    The sign is that of a simulation: shift-rotate the word until it
+    begins with x and x has type a; then y's type a/b gives +1/-1.  With
+    x at positions i < j, the rotation stops at k = i if x has type a and
+    at k = j otherwise (rotating past i flips x to a).  Every letter
+    rotated past flips its type, so y ends with its type flipped once for
+    each of its occurrences before k.
     """
-    nw.type_of(x)
-    nw.type_of(y)
+    tx, ty = nw.type_of(x), nw.type_of(y)
     if x == y:
         return 0
-    if not _alternate(nw, x, y):
+    return _lk(nw.occurrences(x), nw.occurrences(y), tx == TYPE_A, ty == TYPE_A)
+
+
+def _lk(occ_x: tuple[int, int], occ_y: tuple[int, int], x_is_a: bool, y_is_a: bool) -> int:
+    # The closed form of :func:`linking` from occurrence positions.
+    i, j = occ_x
+    p, q = occ_y
+    if (i < p < j) == (i < q < j):
         return 0
-    word = list(nw.word)
-    types = dict(nw.type_map)
-    for _ in range(2 * len(word) + 1):
-        if word[0] == x and types[x] == TYPE_A:
-            return 1 if types[y] == TYPE_A else -1
-        first = word[0]
-        word = word[1:] + [first]
-        types[first] = TYPE_B if types[first] == TYPE_A else TYPE_A
-    raise AssertionError(f"rotation never reached {x}:a in {nw}")
+    k = i if x_is_a else j
+    flipped = ((p < k) + (q < k)) % 2 == 1
+    return 1 if y_is_a != flipped else -1
 
 
 @dataclass(frozen=True)
@@ -89,9 +87,11 @@ class LetterStats:
 
 def n_values(nw: Nanoword) -> LetterStats:
     letters = nw.letters
+    occ = {x: nw.occurrences(x) for x in letters}
+    is_a = {x: nw.type_of(x) == TYPE_A for x in letters}
     lk = {x: {} for x in letters}
     for x, y in itertools.combinations(letters, 2):
-        v = linking(nw, x, y)
+        v = _lk(occ[x], occ[y], is_a[x], is_a[y])
         lk[x][y] = v
         lk[y][x] = -v
     for x in letters:
@@ -123,7 +123,11 @@ class UPolynomial:
 
 
 def u_polynomial(nw: Nanoword) -> UPolynomial:
-    stats = n_values(nw)
+    return u_of(n_values(nw))
+
+
+def u_of(stats: LetterStats) -> UPolynomial:
+    """The u-polynomial read off already computed n-values."""
     coeffs: dict[int, int] = {}
     for v in stats.n.values():
         if v > 0:
@@ -139,7 +143,10 @@ def covering_raw(nw: Nanoword, r: int) -> Nanoword:
         raise InvariantError("covering index r must be >= 1")
     if r == 1:
         return nw
-    stats = n_values(nw)
+    return _drop_indivisible(nw, n_values(nw), r)
+
+
+def _drop_indivisible(nw: Nanoword, stats: LetterStats, r: int) -> Nanoword:
     drop = {x for x, v in stats.n.items() if v % r != 0}
     word = "".join(c for c in nw.word if c not in drop)
     kept = [x for x in nw.letters if x not in drop]
@@ -152,6 +159,12 @@ def covering(nw: Nanoword, r: int) -> Nanoword:
     if r == 1:
         return nw
     normalized, _ = normalize_increasing(covering_raw(nw, r))
+    return normalized
+
+
+def covering_of(nw: Nanoword, stats: LetterStats, r: int) -> Nanoword:
+    """:func:`covering` for r >= 2, from the n-values ``stats`` of ``nw``."""
+    normalized, _ = normalize_increasing(_drop_indivisible(nw, stats, r))
     return normalized
 
 

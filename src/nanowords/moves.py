@@ -533,11 +533,14 @@ def apply_move(nw: Nanoword, m: MoveInstance) -> Nanoword:
     elif m.direction == REMOVE:
         check(all(0 <= i < L for i in m.positions))
         if m.kind == H1:
-            r = m.positions[0]
-            check(word[r] == word[r + 1] == m.letters[0])
+            check(len(m.positions) == 2 and len(m.letters) == 1)
+            r, r1 = m.positions
+            check(r1 == r + 1 and word[r] == word[r1] == m.letters[0])
             out = _delete_letters(nw, {m.letters[0]})
         else:
+            check(len(m.positions) == 4 and len(m.letters) == 2)
             x, y = m.letters
+            check(x in nw.type_map and y in nw.type_map)
             check(nw.type_of(x) != nw.type_of(y))
             i, j = nw.occurrences(x)
             iy, jy = nw.occurrences(y)

@@ -1,6 +1,10 @@
 import random
+from dataclasses import replace
+
+import pytest
 
 import nanowords.census as cz
+import nanowords.cli as cli
 import nanowords.moves as mv
 from nanowords.invariants import string_phi, u_polynomial
 from nanowords.words import EMPTY, count, parse_nanoword, transform
@@ -208,3 +212,35 @@ class TestCensus5:
                 assert str(rec.nanoword) in name
             else:
                 assert name == rec.id, (rec.id, name)
+
+
+class TestIndex:
+    @pytest.mark.parametrize("reload", [False, True], ids=["built", "reloaded"])
+    def test_lookups_match_list_scans(self, census4, tmp_path, reload):
+        census = census4
+        if reload:
+            cli.save_census(census4, tmp_path)
+            census = cli.load_census(tmp_path, 4)
+        phis = {r.phi for r in census.records} | {g.phi for g in census.unresolved}
+        for phi in phis:
+            assert census.by_phi(phi) == [r for r in census.records if r.phi == phi]
+            assert census.groups_by_phi(phi) == [
+                g for g in census.unresolved if g.phi == phi
+            ]
+        for rec in census.records:
+            assert census.by_id(rec.id) is next(r for r in census.records if r.id == rec.id)
+            assert census.phi_of(rec.nanoword) == rec.phi == string_phi(rec.nanoword).phi
+            # the symmetry stage writes its result back into the table
+            unset = replace(rec, symmetry=None)
+            expected = cz.symmetry_classify(unset, census).symmetry
+            assert expected is not None
+            assert census.by_id(rec.id).symmetry == expected
+        with pytest.raises(KeyError):
+            census.by_id("9.9")
+        assert census.by_phi((9,)) == [] and census.groups_by_phi((9,)) == []
+
+    def test_group_members_indexed(self, census5):
+        for g in census5.unresolved:
+            assert g in census5.groups_by_phi(g.phi)
+            for m in g.members:
+                assert census5.phi_of(m) == g.phi

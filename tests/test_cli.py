@@ -40,10 +40,15 @@ class TestInvariantsCommand:
         assert data["phi"] == [-2, 1, 1, 1, 2, 0]
         assert data["n_values"] == {"A": 1, "B": -2, "C": 1}
 
-    def test_parse_error(self, capsys):
-        code, _, err = run(capsys, "invariants", "ABAB:a")
-        assert code == 1
-        assert "error" in err
+    def test_parse_error(self, capsys, tmp_path):
+        for argv in (
+            ["invariants", "ABAB:a"],
+            ["cover", "ABAB:ab", "--r", "0", "--cache", str(tmp_path)],
+        ):
+            code, _, err = run(capsys, *argv)
+            assert code == 1
+            assert err.startswith("error: ")
+            assert "Traceback" not in err
 
 
 class TestEnumerateCommand:
@@ -94,6 +99,34 @@ class TestEnumerateCommand:
             a["meta"].pop("timestamp")
             b["meta"].pop("timestamp")
             assert a == b
+
+    def test_corrupt_cache_is_a_miss(self, capsys, tmp_path):
+        run(capsys, "enumerate", "--crossings", "3", "--cache", str(tmp_path))
+        path = tmp_path / "census_n1.json"
+        path.write_text(path.read_text()[:40])
+        code, _, err = run(
+            capsys, "identify", "BCBECE:aab", "--crossings", "3", "--cache", str(tmp_path)
+        )
+        assert code == 1
+        assert "not cached" in err
+        assert "Traceback" not in err
+        code, out, err = run(
+            capsys,
+            "identify",
+            "BCBECE:aab",
+            "--crossings",
+            "3",
+            "--cache",
+            str(tmp_path),
+            "--compute",
+        )
+        assert code == 0
+        assert out.strip() == "3.1"
+        assert "Traceback" not in err
+        assert json.loads(path.read_text())["crossings"] == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            f"census_n{k}.json" for k in range(4)
+        ]
 
     def test_json_format(self, capsys, tmp_path):
         code, out, _ = run(

@@ -64,10 +64,11 @@ class TestLinking:
     def test_antisymmetry_random(self):
         rng = random.Random(2)
         for _ in range(150):
-            nw = random_nanoword(rng, rng.choice([2, 3, 4]))
+            nw = random_nanoword(rng, rng.choice([2, 3, 4, 5, 6]))
+            lk = n_values(nw).lk
             for x, y in itertools.combinations(nw.letters, 2):
                 assert linking(nw, x, y) == -linking(nw, y, x)
-                assert linking(nw, x, y) == simulate_linking(nw, x, y)
+                assert linking(nw, x, y) == simulate_linking(nw, x, y) == lk[x][y]
 
 
 class TestNValues:

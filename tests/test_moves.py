@@ -9,6 +9,7 @@ from nanowords.census import candidates
 from nanowords.moves import (
     ALL_KINDS,
     MoveError,
+    MoveInstance,
     TruncationError,
     _encode,
     _escape_successors,
@@ -170,6 +171,24 @@ class TestApply:
         (m,) = applicable_moves(nw, kinds={"H2"})
         with pytest.raises(MoveError):
             apply_move(parse_nanoword("ABAB:ab"), m)
+
+    @pytest.mark.parametrize(
+        "text,move",
+        [
+            # H1 at the last position would read past the end of the word
+            ("ABAB:ab", MoveInstance("H1", "remove", (3,), ("B",))),
+            ("ABAB:ab", MoveInstance("H1", "remove", (), ("A",))),
+            ("ABBA:ab", MoveInstance("H1", "remove", (1, 2), ())),
+            ("ABBA:ab", MoveInstance("H1", "remove", (1, 3), ("B",))),
+            ("ABBA:ab", MoveInstance("H2", "remove", (0, 1), ("A", "B"))),
+            ("ABAB:ab", MoveInstance("H2a", "remove", (0, 1, 2), ("A", "B"))),
+            ("ABBA:ab", MoveInstance("H2", "remove", (0, 1, 2, 3), ("A",))),
+            ("ABBA:ab", MoveInstance("H2", "remove", (0, 1, 2, 3), ("A", "C"))),
+        ],
+    )
+    def test_malformed_removal(self, text, move):
+        with pytest.raises(MoveError):
+            apply_move(parse_nanoword(text), move)
 
     def test_state_successors_match_public_moves(self):
         # the search successors on encoded states are the public moves,
