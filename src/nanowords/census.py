@@ -3,18 +3,20 @@
 The generator walks increasing Gauss words in alphabetical order, expands
 the 2^n type assignments, and keeps a nanoword when it is alphabetically
 minimal in its 3-class and that class is irreducible.  Candidates are
-separated by their canonical primitive based matrices; groups sharing a
-matrix are refined by identifying r-coverings; anything still unseparated
-is reported as an unresolved group, never merged (whether its members are
-homotopic is an open question, and a group may pair a candidate with a
-smaller-crossing record, since uniqueness of irreducible 3-classes is
-unproven).
+separated by one key: rho, the canonical primitive based matrix phi, and
+the phi of each reduced r-covering.  The same key names a word in
+``identify``.  Candidates sharing a key, with each other or with an
+earlier entry, are reported as an unresolved group, never merged
+(whether its members are homotopic is an open question, and a group may
+pair a candidate with a smaller-crossing record, since uniqueness of
+irreducible 3-classes is unproven).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from . import invariants, moves, words
 from .moves import DEFAULT_MAX_MEMBERS, DEFAULT_MAX_STEPS
@@ -163,6 +165,7 @@ class StringRecord:
     u: invariants.UPolynomial
     rho: int
     phi: tuple[int, ...]
+    cover_phis: tuple[tuple[int, ...], ...]
     phi_display: tuple[int, ...]
     coverings: dict[int, str] = field(default_factory=dict)
     symmetry: Symmetry | None = None
@@ -170,6 +173,10 @@ class StringRecord:
     @property
     def crossings(self) -> int:
         return self.nanoword.crossings
+
+    @property
+    def key(self) -> tuple:
+        return self.rho, self.phi, self.cover_phis
 
 
 @dataclass(frozen=True)
@@ -183,17 +190,23 @@ class UnresolvedGroup:
     members: tuple[Nanoword, ...]
     rho: int
     phi: tuple[int, ...]
+    cover_phis: tuple[tuple[int, ...], ...]
     phi_display: tuple[int, ...]
+
+    @property
+    def key(self) -> tuple:
+        return self.rho, self.phi, self.cover_phis
 
 
 @dataclass
 class CensusTable:
-    """Records and unresolved groups, with lookups by id, phi and word.
+    """Records and unresolved groups, with lookups by id, key and word.
 
     Fill the lists through :meth:`add`, which indexes what it appends.
-    The indexes hold list positions, so a record replaced in place by one
-    with the same id and phi (as the symmetry stage does) is what the
-    lookups return.
+    Records are indexed by list position, so a record replaced in place
+    by one with the same id and key (as the symmetry stage does) is what
+    the lookups return.  A separation key names at most one entry: a
+    group wins over a record, and a later group over an earlier one.
     """
 
     max_crossings: int = -1
@@ -203,9 +216,9 @@ class CensusTable:
 
     def __post_init__(self):
         self._record_at: dict[str, int] = {}
-        self._records_at: dict[tuple, list[int]] = {}
-        self._groups_at: dict[tuple, list[int]] = {}
-        self._word_phi: dict[Nanoword, tuple] = {}
+        # key -> record id or unresolved group
+        self._entry_at: dict[tuple, str | UnresolvedGroup] = {}
+        self._word_key: dict[Nanoword, tuple] = {}
         self._index(0, 0)
 
     def add(self, records=(), unresolved=()) -> None:
@@ -216,31 +229,41 @@ class CensusTable:
         self._index(*start)
 
     def _index(self, first_record: int, first_group: int) -> None:
-        # A word in several places has one phi, so the first entry stands.
+        # A word in several places has one key, so the first entry stands.
         for k in range(first_record, len(self.records)):
             r = self.records[k]
             self._record_at.setdefault(r.id, k)
-            self._records_at.setdefault(r.phi, []).append(k)
-            self._word_phi.setdefault(r.nanoword, r.phi)
+            self._entry_at.setdefault(r.key, r.id)
+            self._word_key.setdefault(r.nanoword, r.key)
         for k in range(first_group, len(self.unresolved)):
             g = self.unresolved[k]
-            self._groups_at.setdefault(g.phi, []).append(k)
+            self._entry_at[g.key] = g
             for m in g.members:
-                self._word_phi.setdefault(m, g.phi)
+                self._word_key.setdefault(m, g.key)
 
     def by_id(self, rid: str) -> StringRecord:
         return self.records[self._record_at[rid]]
 
     def by_phi(self, phi: tuple[int, ...]) -> list[StringRecord]:
-        return [self.records[k] for k in self._records_at.get(phi, ())]
+        return [r for r in self.records if r.phi == phi]
 
     def groups_by_phi(self, phi: tuple[int, ...]) -> list[UnresolvedGroup]:
-        return [self.unresolved[k] for k in self._groups_at.get(phi, ())]
+        return [g for g in self.unresolved if g.phi == phi]
+
+    def entry(self, key: tuple) -> StringRecord | UnresolvedGroup | None:
+        """The record or unresolved group filed under a separation key."""
+        hit = self._entry_at.get(key)
+        return self.by_id(hit) if isinstance(hit, str) else hit
+
+    def entry_of(self, nw, max_members=DEFAULT_MAX_MEMBERS, max_steps=DEFAULT_MAX_STEPS):
+        """The entry for an irreducible ``nw``'s key, stored or computed."""
+        key = self._word_key.get(nw) or separate(nw, self, max_members, max_steps).key
+        return self.entry(key)
 
     def phi_of(self, nw: Nanoword) -> tuple[int, ...]:
         """phi of ``nw``: stored for a census word, computed otherwise."""
-        phi = self._word_phi.get(nw)
-        return invariants.string_phi(nw).phi if phi is None else phi
+        key = self._word_key.get(nw)
+        return invariants.string_phi(nw).phi if key is None else key[1]
 
     def counts(self) -> dict[int, int]:
         out: dict[int, int] = {}
@@ -253,23 +276,87 @@ def _record_id(n: int, k: int) -> str:
     return "0" if n == 0 else f"{n}.{k}"
 
 
-def _covering_radii(stats: invariants.LetterStats) -> list[int]:
-    # r beyond max|n(X)| all delete the same letters (those with n != 0),
-    # so one representative past the maximum suffices; identical deletion
-    # sets inside the range are deduplicated as well.
-    if not stats.n:
-        return []
-    top = max(abs(v) for v in stats.n.values())
-    if top == 0:
-        return []
-    radii = []
-    seen_sets = set()
-    for r in range(2, top + 2):
-        dropped = frozenset(x for x, v in stats.n.items() if v % r != 0)
-        if dropped not in seen_sets:
-            seen_sets.add(dropped)
-            radii.append(r)
-    return radii
+def _covering_radii(stats: invariants.LetterStats) -> dict[int, int]:
+    """Each radius r = 2 .. max|n(X)|+1, mapped to the first with its covering.
+
+    The r-covering deletes the letters whose n-value r does not divide,
+    so radii deleting the same letters share a covering, and every r past
+    max|n(X)| deletes what max|n(X)|+1 deletes.  Empty when every n-value
+    is 0: each covering is then the word itself.
+    """
+    top = max((abs(v) for v in stats.n.values()), default=0)
+    first: dict[frozenset, int] = {}
+    return {
+        r: first.setdefault(frozenset(x for x, v in stats.n.items() if v % r), r)
+        for r in range(2, top + 2)
+    }
+
+
+class Separation(NamedTuple):
+    """What :func:`separate` computes for one irreducible word."""
+
+    key: tuple
+    stats: invariants.LetterStats
+    bm: invariants.BasedMatrix
+    covers: dict[int, Nanoword | None]
+
+
+def separate(
+    nw: Nanoword,
+    census: CensusTable,
+    max_members: int = DEFAULT_MAX_MEMBERS,
+    max_steps: int = DEFAULT_MAX_STEPS,
+) -> Separation:
+    """Invariants and separation key ``(rho, phi, cover_phis)`` of ``nw``.
+
+    ``nw`` is irreducible.  ``cover_phis`` is r -> phi of the reduced
+    r-covering for r = 2, 3, ..., with phi read from ``census`` for a
+    census word.  The sequence is constant past max|n(X)|, so trailing
+    repeats are trimmed; a word whose n-values are all 0 keeps the one
+    element ``(phi,)``.  ``covers`` maps the first radius of each
+    distinct covering to that covering reduced, or to None where it is
+    ``nw`` itself.  Words with different keys are different strings.
+    """
+    stats = invariants.n_values(nw)
+    bm = invariants.based_matrix(nw)
+    cf = invariants.canonical_form(bm)
+    radii = _covering_radii(stats)
+    covers: dict[int, Nanoword | None] = dict.fromkeys(radii.values())
+    for r in covers:
+        cov = invariants.covering_of(nw, stats, r)
+        if cov != nw:
+            covers[r] = moves.reduce_to_irreducible(cov, 0, max_members, max_steps)
+    seq = [cf.phi if covers[r] is None else census.phi_of(covers[r]) for r in radii.values()]
+    seq = seq or [cf.phi]
+    while len(seq) > 1 and seq[-1] == seq[-2]:
+        seq.pop()
+    return Separation((cf.rho, cf.phi, tuple(seq)), stats, bm, covers)
+
+
+def lookup(
+    nw: Nanoword,
+    census: CensusTable,
+    max_members: int = DEFAULT_MAX_MEMBERS,
+    max_steps: int = DEFAULT_MAX_STEPS,
+    insert_budget: int = 0,
+) -> StringRecord | UnresolvedGroup | None:
+    """The census entry sharing the separation key of ``nw``, if any.
+
+    ``nw`` is first reduced to an irreducible representative; a nonzero
+    ``insert_budget`` lets the reduction hunt for crossing-count escapes
+    through temporarily larger words.
+    """
+    reduced = moves.reduce_to_irreducible(nw, insert_budget, max_members, max_steps)
+    return census.entry_of(reduced, max_members, max_steps)
+
+
+def entry_name(entry: StringRecord | UnresolvedGroup | None) -> str:
+    """A record's id, ``ambiguous(...)`` with a group's members, or ``unknown``."""
+    if entry is None:
+        return "unknown"
+    if isinstance(entry, UnresolvedGroup):
+        return "ambiguous(" + "|".join(sorted(str(m) for m in entry.members)) + ")"
+    return entry.id
 
 
 def identify(
@@ -279,52 +366,12 @@ def identify(
     max_steps: int = DEFAULT_MAX_STEPS,
     insert_budget: int = 0,
 ) -> str:
-    """Name a nanoword against the census by invariants.
+    """Name a nanoword by its census entry (:func:`lookup`, :func:`entry_name`).
 
-    Reduces to an irreducible representative, then matches the canonical
-    primitive based matrix: a unique record gives its id, a match with an
-    unresolved group is reported as ambiguous (phi equality does not
-    prove homotopy), anything else is unknown.  A nonzero
-    ``insert_budget`` lets the reduction hunt for crossing-count escapes
-    through temporarily larger words.
+    An unresolved group is reported as ambiguous: equal invariants do not
+    prove homotopy.
     """
-    reduced = moves.reduce_to_irreducible(
-        nw,
-        max_extra_letters=insert_budget,
-        max_members=max_members,
-        max_steps=max_steps,
-    )
-    phi = census.phi_of(reduced)
-    groups = census.groups_by_phi(phi)
-    if groups:
-        names = sorted(str(m) for g in groups for m in g.members)
-        return "ambiguous(" + "|".join(names) + ")"
-    hits = census.by_phi(phi)
-    if len(hits) == 1:
-        return hits[0].id
-    if len(hits) > 1:
-        # records sharing a primitive based matrix were separated by their
-        # coverings; refine the same way
-        def signature(word):
-            stats = invariants.n_values(word)
-            top = max((abs(v) for v in stats.n.values()), default=0)
-            return tuple(
-                census.phi_of(
-                    moves.reduce_to_irreducible(
-                        invariants.covering_of(word, stats, r),
-                        max_members=max_members,
-                        max_steps=max_steps,
-                    )
-                )
-                for r in range(2, top + 2)
-            )
-        target = signature(reduced)
-        refined = [rec for rec in hits if signature(rec.nanoword) == target]
-        if len(refined) == 1:
-            return refined[0].id
-        if refined:
-            return "ambiguous(" + "|".join(sorted(r.id for r in refined)) + ")"
-    return "unknown"
+    return entry_name(lookup(nw, census, max_members, max_steps, insert_budget))
 
 
 def distinguish(
@@ -337,61 +384,43 @@ def distinguish(
 ) -> tuple[list[StringRecord], list[UnresolvedGroup]]:
     """Separate same-count candidates into records and unresolved groups.
 
-    Candidates are grouped by canonical primitive based matrix; every
-    group additionally absorbs prior-census records with the same matrix
-    (such a collision means the candidate is either homotopic to the
-    smaller string, contradicting Step 5 of the generator, or a genuinely
-    new string sharing the invariant; nothing in the calculus decides
-    which, so the group is reported rather than treated as an error).
-    Groups are then refined by the reduced r-coverings; surviving
-    singleton candidates become records.
+    Candidates are bucketed by separation key (:func:`separate`).  A
+    lone candidate whose key no prior entry has becomes a record.  Any
+    other bucket becomes an unresolved group, which also holds the
+    members of the prior record or group with its key: such a collision
+    means the candidate is either homotopic to the smaller string,
+    contradicting Step 5 of the generator, or a genuinely new string
+    sharing the invariants; nothing in the calculus decides which, so
+    the group is reported rather than treated as an error.
     """
-    keyed: dict[tuple, list[Nanoword]] = {}
-    stats, bms, cfs = {}, {}, {}
+    seps = {nw: separate(nw, prior, max_members, max_steps) for nw in cands}
+    buckets: dict[tuple, list[Nanoword]] = {}
     for nw in cands:
-        stats[nw] = invariants.n_values(nw)
-        bms[nw] = invariants.based_matrix(nw)
-        cfs[nw] = cf = invariants.canonical_form(bms[nw])
-        keyed.setdefault((cf.rho, cf.phi), []).append(nw)
-
-    def record(nw):
-        return _make_record(nw, stats[nw], bms[nw], cfs[nw], prior, max_members, max_steps)
+        buckets.setdefault(seps[nw].key, []).append(nw)
 
     records: list[StringRecord] = []
     unresolved: list[UnresolvedGroup] = []
-    pending: list[tuple[tuple, list[Nanoword], list[StringRecord]]] = []
-    for key in sorted(keyed):
-        group = sorted(keyed[key])
-        prior_hits = prior.by_phi(key[1])
-        if prior_hits and warn:
-            warn(
-                f"candidates {[str(g) for g in group]} share a primitive based "
-                f"matrix with {[r.id for r in prior_hits]}: either the move "
-                "search missed a reduction or a new string shares the invariant"
-            )
-        pending.append((key, group, prior_hits))
-
-    for (rho, phi), group, prior_hits in pending:
-        if len(group) == 1 and not prior_hits:
-            records.append(record(group[0]))
+    for key in sorted(buckets):
+        group = sorted(buckets[key])
+        old = prior.entry(key)
+        if old is None and len(group) == 1:
+            nw = group[0]
+            records.append(_make_record(nw, seps[nw], prior, max_members, max_steps))
             continue
-        refined = _refine_by_coverings(
-            group, prior_hits, stats, prior, max_members, max_steps
-        )
-        for bucket_cands, bucket_priors in refined:
-            if len(bucket_cands) == 1 and not bucket_priors:
-                records.append(record(bucket_cands[0]))
-            elif bucket_cands:
-                members = tuple(
-                    sorted([r.nanoword for r in bucket_priors] + bucket_cands)
-                )
-                first = members[0]
-                disp = invariants.display_theta(
-                    bms[first] if first in bms else invariants.based_matrix(first)
-                )
-                unresolved.append(
-                    UnresolvedGroup(members=members, rho=rho, phi=phi, phi_display=disp)
-                )
+        if old is not None and warn:
+            warn(
+                f"candidates {[str(g) for g in group]} share every computed "
+                f"invariant with {entry_name(old)}: either the move search "
+                "missed a reduction or a new string shares the invariants"
+            )
+        if isinstance(old, StringRecord):
+            group.append(old.nanoword)
+        elif old is not None:
+            group.extend(old.members)
+        members = tuple(sorted(group))
+        first = members[0]
+        bm = seps[first].bm if first in seps else invariants.based_matrix(first)
+        unresolved.append(UnresolvedGroup(members, *key, invariants.display_theta(bm)))
 
     records.sort(key=lambda r: r.nanoword)
     records = [
@@ -401,56 +430,13 @@ def distinguish(
     return records, unresolved
 
 
-def _make_record(nw, stats, bm, cf, prior, max_members, max_steps):
-    # stats, bm and cf are the n-values, based matrix and canonical form
-    # of nw that distinguish has already computed.
-    coverings = {}
-    for r in _covering_radii(stats):
-        cov = invariants.covering_of(nw, stats, r)
-        if cov == nw:
-            coverings[r] = "self"
-        else:
-            coverings[r] = identify(cov, prior, max_members, max_steps)
-    return StringRecord(
-        id="?",
-        nanoword=nw,
-        u=invariants.u_of(stats),
-        rho=cf.rho,
-        phi=cf.phi,
-        phi_display=invariants.display_theta(bm),
-        coverings=coverings,
-    )
-
-
-def _refine_by_coverings(group, prior_hits, stats, prior, max_members, max_steps):
-    """Split a phi-group by the invariants of its members' coverings."""
-    all_stats = dict(stats)
-    for rec in prior_hits:
-        all_stats[rec.nanoword] = invariants.n_values(rec.nanoword)
-    members = [(nw, True) for nw in group] + [
-        (rec.nanoword, False) for rec in prior_hits
-    ]
-    tops = [
-        max((abs(v) for v in all_stats[nw].n.values()), default=0)
-        for nw, _ in members
-    ]
-    radii = list(range(2, max(tops, default=0) + 2))
-    buckets: dict[tuple, tuple[list, list]] = {}
-    prior_by_word = {rec.nanoword: rec for rec in prior_hits}
-    for nw, is_cand in members:
-        sig = []
-        for r in radii:
-            cov = invariants.covering_of(nw, all_stats[nw], r)
-            reduced = moves.reduce_to_irreducible(
-                cov, max_members=max_members, max_steps=max_steps
-            )
-            sig.append(prior.phi_of(reduced))
-        bucket = buckets.setdefault(tuple(sig), ([], []))
-        if is_cand:
-            bucket[0].append(nw)
-        else:
-            bucket[1].append(prior_by_word[nw])
-    return [buckets[k] for k in sorted(buckets)]
+def _make_record(nw, sep, prior, max_members, max_steps):
+    coverings = {
+        r: "self" if red is None else entry_name(prior.entry_of(red, max_members, max_steps))
+        for r, red in sep.covers.items()
+    }
+    display = invariants.display_theta(sep.bm)
+    return StringRecord("?", nw, invariants.u_of(sep.stats), *sep.key, display, coverings)
 
 
 def build_census(
@@ -489,16 +475,16 @@ def symmetry_classify(
     Types: a if all three operations fix the homotopy class, i/+/- if
     only inversion / reflection / inverted reflection does, c if none.
     Two fixed operations force the third, so those are the only cases.
-    If any transform cannot be identified (possible once unresolved
-    groups exist) the symmetry is left unset.
+    If a transform does not identify as a record (it may belong to an
+    unresolved group) the symmetry is left unset.
     """
     ids = {}
     for kind in words.TRANSFORM_KINDS:
         image = words.transform(record.nanoword, kind)
-        name = identify(image, census, max_members, max_steps)
-        if name in ("unknown",) or name.startswith("ambiguous"):
+        entry = lookup(image, census, max_members, max_steps)
+        if not isinstance(entry, StringRecord):
             return record
-        ids[kind] = name
+        ids[kind] = entry.id
     fixed = {k for k, v in ids.items() if v == record.id}
     if len(fixed) == 3:
         sym = ALL_SYMMETRIC

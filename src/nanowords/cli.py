@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-import time
 from pathlib import Path
 
 from . import census as cz
@@ -22,7 +21,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_TRUNCATED = 2
 
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 DEFAULT_CACHE = "census_cache"
 
 
@@ -42,6 +41,7 @@ def _record_to_json(rec: cz.StringRecord) -> dict:
         "rho": rec.rho,
         "phi": list(rec.phi),
         "phi_display": list(rec.phi_display),
+        "cover_phis": [list(p) for p in rec.cover_phis],
         "coverings": {str(r): v for r, v in sorted(rec.coverings.items())},
         "symmetry": sym,
     }
@@ -59,6 +59,7 @@ def _record_from_json(d: dict) -> cz.StringRecord:
         rho=d["rho"],
         phi=tuple(d["phi"]),
         phi_display=tuple(d["phi_display"]),
+        cover_phis=tuple(map(tuple, d["cover_phis"])),
         coverings={int(r): v for r, v in d.get("coverings", {}).items()},
         symmetry=sym,
     )
@@ -77,11 +78,12 @@ def census_to_json(census: cz.CensusTable, n: int) -> dict:
                 "rho": g.rho,
                 "phi": list(g.phi),
                 "phi_display": list(g.phi_display),
+                "cover_phis": [list(p) for p in g.cover_phis],
             }
             for g in census.unresolved
             if max(m.crossings for m in g.members) == n
         ],
-        "meta": {"limits": census.limits, "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")},
+        "meta": {"limits": census.limits},
     }
 
 
@@ -109,6 +111,7 @@ def _group_from_json(g: dict) -> cz.UnresolvedGroup:
         rho=g["rho"],
         phi=tuple(g["phi"]),
         phi_display=tuple(g["phi_display"]),
+        cover_phis=tuple(map(tuple, g["cover_phis"])),
     )
 
 
@@ -184,21 +187,24 @@ def _emit_rows(rows: list[dict], columns: list[str], fmt: str, out) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _usage_error(message) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_USAGE
+
+
 def cmd_invariants(args) -> int:
     try:
         nw = parse_nanoword(args.nanoword)
     except NanowordError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(e)
     stats = invariants.n_values(nw)
     u = invariants.u_polynomial(nw)
     bm = invariants.based_matrix(nw)
     cf = invariants.canonical_form(bm)
-    radii = cz._covering_radii(stats)
-    covers = {}
-    for r in radii:
-        raw = invariants.covering_raw(nw, r)
-        covers[r] = str(raw)
+    covers = {
+        r: str(invariants.covering_raw(nw, r))
+        for r in dict.fromkeys(cz._covering_radii(stats).values())
+    }
     if args.json:
         json.dump(
             {
@@ -283,8 +289,7 @@ def cmd_identify(args) -> int:
     try:
         nw = parse_nanoword(args.nanoword)
     except NanowordError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(e)
     try:
         census = obtain_census(args, args.crossings)
         name = cz.identify(
@@ -301,17 +306,14 @@ def cmd_symmetry(args) -> int:
     try:
         nw = parse_nanoword(args.nanoword)
     except NanowordError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(e)
     try:
         census = obtain_census(args, args.crossings)
-        name = cz.identify(
-            nw, census, args.max_members, args.max_steps, args.insert_budget
-        )
-        if name == "unknown" or name.startswith("ambiguous"):
-            print(name)
+        rec = cz.lookup(nw, census, args.max_members, args.max_steps, args.insert_budget)
+        if not isinstance(rec, cz.StringRecord):
+            print(cz.entry_name(rec))
             return EXIT_OK
-        rec = census.by_id(name)
+        name = rec.id
         if rec.symmetry is None:
             rec = cz.symmetry_classify(rec, census, args.max_members, args.max_steps)
         if rec.symmetry is None:
@@ -332,13 +334,11 @@ def cmd_cover(args) -> int:
     try:
         nw = parse_nanoword(args.nanoword)
     except NanowordError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(e)
     try:
         raw = invariants.covering_raw(nw, args.r)
     except invariants.InvariantError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(e)
     try:
         census = obtain_census(args, args.crossings)
         name = cz.identify(
@@ -413,6 +413,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
+    if not 0 <= (getattr(args, "crossings", None) or 0) <= words.MAX_LETTERS:
+        return _usage_error(f"--crossings must be between 0 and {words.MAX_LETTERS}")
+    if getattr(args, "insert_budget", 0) < 0:
+        return _usage_error("--insert-budget must not be negative")
     try:
         return args.fn(args)
     except SystemExit as e:

@@ -552,6 +552,9 @@ def apply_move(nw: Nanoword, m: MoveInstance) -> Nanoword:
                 check(iy == i + 1 and jy == j + 1)
             out = _delete_letters(nw, {x, y})
     elif m.direction == INSERT:
+        k = 1 if m.kind == H1 else 2
+        check(len(m.positions) == len(m.letters) == len(m.new_types) == k)
+        check(len(set(m.letters)) == k and all(t in (TYPE_A, TYPE_B) for t in m.new_types))
         for x in m.letters:
             check(x not in nw.type_map)
         if m.kind == H1:

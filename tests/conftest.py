@@ -27,6 +27,11 @@ def census5():
     return census
 
 
+@pytest.fixture(scope="session")
+def census6():
+    return cz.build_census(6, warn=lambda m: None)
+
+
 def random_nanoword(rng: random.Random, n: int) -> Nanoword:
     symbols = []
     for i in range(n):

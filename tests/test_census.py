@@ -1,3 +1,4 @@
+import json
 import random
 from dataclasses import replace
 
@@ -202,16 +203,28 @@ class TestCensus5:
             assert {str(u_polynomial(m)) for m in g.members} == {"0"}
 
     def test_identify_idempotent_on_records(self, census5):
-        # every record identifies as itself, except members of unresolved
-        # groups, which must come back ambiguous with their group
-        grouped = {m for g in census5.unresolved for m in g.members}
-        for rec in census5.records:
-            name = cz.identify(rec.nanoword, census5)
-            if rec.nanoword in grouped:
-                assert name.startswith("ambiguous(")
-                assert str(rec.nanoword) in name
-            else:
-                assert name == rec.id, (rec.id, name)
+        assert_identify_idempotent(census5)
+
+
+def assert_identify_idempotent(census):
+    # every record outside the unresolved groups identifies as itself and
+    # has its symmetry set; a group member comes back ambiguous with the
+    # members of the last group holding it, each named once
+    last = {m: g for g in census.unresolved for m in g.members}
+    for rec in census.records:
+        name = cz.identify(rec.nanoword, census)
+        group = last.get(rec.nanoword)
+        if group is None:
+            assert name == rec.id, (rec.id, name)
+            assert rec.symmetry is not None, rec.id
+        else:
+            names = sorted(str(m) for m in group.members)
+            assert len(set(names)) == len(names), group
+            assert name == "ambiguous(" + "|".join(names) + ")", (rec.id, name)
+
+
+def test_identify_idempotent_at_six_crossings(census6):
+    assert_identify_idempotent(census6)
 
 
 class TestIndex:
@@ -238,6 +251,21 @@ class TestIndex:
         with pytest.raises(KeyError):
             census.by_id("9.9")
         assert census.by_phi((9,)) == [] and census.groups_by_phi((9,)) == []
+
+    def test_keys_survive_cache(self, census5, tmp_path):
+        cli.save_census(census5, tmp_path)
+        loaded = cli.load_census(tmp_path, 5)
+        assert loaded.records == census5.records
+        assert loaded.unresolved == census5.unresolved
+        for g in census5.unresolved:
+            assert loaded.entry(g.key) == g
+            assert all(loaded.entry_of(m) == g for m in g.members)
+        # a file of the previous cache version is a miss
+        path = tmp_path / "census_n3.json"
+        data = json.loads(path.read_text())
+        data["version"] = 1
+        path.write_text(json.dumps(data))
+        assert cli.load_census(tmp_path, 5) is None
 
     def test_group_members_indexed(self, census5):
         for g in census5.unresolved:

@@ -184,6 +184,14 @@ class TestApply:
             ("ABAB:ab", MoveInstance("H2a", "remove", (0, 1, 2), ("A", "B"))),
             ("ABBA:ab", MoveInstance("H2", "remove", (0, 1, 2, 3), ("A",))),
             ("ABBA:ab", MoveInstance("H2", "remove", (0, 1, 2, 3), ("A", "C"))),
+            # insertions: wrong counts of sites, letters or types, a bad type,
+            # a repeated letter
+            ("ABAB:ab", MoveInstance("H1", "insert", (0, 1), ("C",), ("a",))),
+            ("ABAB:ab", MoveInstance("H1", "insert", (0,), ("C",), ())),
+            ("ABAB:ab", MoveInstance("H1", "insert", (0,), ("C",), ("c",))),
+            ("ABAB:ab", MoveInstance("H2", "insert", (0, 1), ("C", "D"), ("a",))),
+            ("ABAB:ab", MoveInstance("H2", "insert", (0,), ("C", "D"), ("a", "b"))),
+            ("ABAB:ab", MoveInstance("H2a", "insert", (0, 1), ("C", "C"), ("a", "b"))),
         ],
     )
     def test_malformed_removal(self, text, move):
