@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from . import invariants, moves, words
 from .moves import DEFAULT_MAX_MEMBERS, DEFAULT_MAX_STEPS
-from .words import _ALPHA, Nanoword, parse_nanoword
+from .words import _ALPHA, Nanoword
 
 MIRROR_ONLY = "+"
 INVERSE_ONLY = "i"
@@ -67,43 +67,35 @@ def candidates(
     n: int,
     max_members: int = DEFAULT_MAX_MEMBERS,
     max_steps: int = DEFAULT_MAX_STEPS,
-    jobs: int = 1,
 ) -> list[Nanoword]:
     """All n-letter nanowords that are minimal in an irreducible 3-class.
 
     Raises :class:`TruncationError` if any 3-class exploration hits the
     limits; the census must always run untruncated.
     """
-    if n == 0:
-        return [words.EMPTY]
-    if jobs > 1:
-        return _candidates_parallel(n, max_members, max_steps, jobs)
-    out: list[Nanoword] = []
+    return sorted(moves._decode(s) for s, _ in _survivors(n, max_members, max_steps))
+
+
+def _survivors(n, max_members, max_steps):
+    """Yield each candidate's ``State`` with the members of its 3-class."""
     seen: set[moves.State] = set()
     for word in increasing_gauss_words(n, skip_adjacent_doubles=True):
-        out.extend(_survivors_of_word(word, seen, max_members, max_steps))
-    out.sort()
-    return out
+        # An increasing Gauss word is already in the encoded normal form:
+        # letter k is the k-th alphabet letter, and its type is bit k.
+        letters = tuple(_ALPHA.index(x) for x in word)
+        for types in itertools.product((0, 1), repeat=n):
+            state = (letters, types)
+            if state in seen:
+                # already visited inside some earlier class: that class was
+                # either discarded or produced its (smaller) minimal member
+                continue
+            cls = _minimal_irreducible_class(state, seen, max_members, max_steps)
+            if cls is not None:
+                yield state, cls
 
 
-def _survivors_of_word(word, seen, max_members, max_steps):
-    # An increasing Gauss word is already in the encoded normal form:
-    # letter k is the k-th alphabet letter, and its type is bit k.
-    letters = tuple(_ALPHA.index(x) for x in word)
-    out = []
-    for types in itertools.product((0, 1), repeat=len(word) // 2):
-        state = (letters, types)
-        if state in seen:
-            # already visited inside some earlier class: that class was
-            # either discarded or produced its (smaller) minimal member
-            continue
-        if _is_minimal_irreducible(state, seen, max_members, max_steps):
-            out.append(moves._decode(state))
-    return out
-
-
-def _is_minimal_irreducible(start, seen, max_members, max_steps):
-    """Guarded 3-class exploration from ``start``.
+def _minimal_irreducible_class(start, seen, max_members, max_steps):
+    """Guarded 3-class exploration from ``start``: the whole class, or None.
 
     Aborts as soon as a member smaller than ``start`` or a reducible
     member appears.  All discovered members are added to ``seen``; any of
@@ -122,25 +114,16 @@ def _is_minimal_irreducible(start, seen, max_members, max_steps):
             f"3-class of {moves._decode(start)}", limit, max_members, max_steps
         )
     seen.update(local)
-    return found is None
+    return local if found is None else None
 
 
-def _candidate_chunk(args):
-    word, max_members, max_steps = args
-    seen: set = set()
-    return [str(nw) for nw in _survivors_of_word(word, seen, max_members, max_steps)]
-
-
-def _candidates_parallel(n, max_members, max_steps, jobs):
-    from concurrent.futures import ProcessPoolExecutor
-
-    work = [(w, max_members, max_steps) for w in increasing_gauss_words(n, True)]
-    out: list[Nanoword] = []
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for chunk in pool.map(_candidate_chunk, work, chunksize=8):
-            out.extend(parse_nanoword(t) for t in chunk)
-    out.sort()
-    return out
+def _image_minima(cls) -> tuple[Nanoword, ...]:
+    """Minimal members of the images of the 3-class ``cls`` under each of
+    ``words.TRANSFORM_KINDS``: a transform maps a 3-class onto a 3-class."""
+    return tuple(
+        moves._decode(min(moves._transform_state(s, kind) for s in cls))
+        for kind in words.TRANSFORM_KINDS
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +301,7 @@ def separate(
     ``nw`` itself.  Words with different keys are different strings.
     """
     stats = invariants.n_values(nw)
-    bm = invariants.based_matrix(nw)
+    bm = invariants.based_matrix(nw, stats)
     cf = invariants.canonical_form(bm)
     radii = _covering_radii(stats)
     covers: dict[int, Nanoword | None] = dict.fromkeys(radii.values())
@@ -443,45 +426,49 @@ def build_census(
     max_n: int,
     max_members: int = DEFAULT_MAX_MEMBERS,
     max_steps: int = DEFAULT_MAX_STEPS,
-    jobs: int = 1,
     warn=None,
-    with_symmetry: bool = True,
 ) -> CensusTable:
     """Run the full pipeline for crossing numbers 0..max_n."""
     census = CensusTable(
         max_crossings=max_n,
         limits={"max_members": max_members, "max_steps": max_steps},
     )
+    images: dict[Nanoword, tuple[Nanoword, ...]] = {}
     for n in range(max_n + 1):
-        cands = candidates(n, max_members, max_steps, jobs)
+        found = {
+            moves._decode(s): _image_minima(cls)
+            for s, cls in _survivors(n, max_members, max_steps)
+        }
+        images.update(found)
         records, unresolved = distinguish(
-            cands, census, n, max_members, max_steps, warn
+            sorted(found), census, n, max_members, max_steps, warn
         )
         census.add(records, unresolved)
-    if with_symmetry:
-        for i, rec in enumerate(census.records):
-            census.records[i] = symmetry_classify(rec, census, max_members, max_steps)
+    # After the last depth: a later group may take over an earlier record's key.
+    for i, rec in enumerate(census.records):
+        census.records[i] = symmetry_classify(rec, census, images[rec.nanoword])
     return census
 
 
 def symmetry_classify(
     record: StringRecord,
     census: CensusTable,
-    max_members: int = DEFAULT_MAX_MEMBERS,
-    max_steps: int = DEFAULT_MAX_STEPS,
+    images: tuple[Nanoword, ...],
 ) -> StringRecord:
     """Fill in mirror/inverse ids and the five-way symmetry type.
 
-    Types: a if all three operations fix the homotopy class, i/+/- if
-    only inversion / reflection / inverted reflection does, c if none.
-    Two fixed operations force the third, so those are the only cases.
-    If a transform does not identify as a record (it may belong to an
+    ``images`` are the minimal members of the 3-classes of the record's
+    mirror, inverse and mirror-inverse (:func:`_image_minima`); each is
+    a candidate of the record's crossing number, so its entry is found
+    by its stored key.  Types: a if all three operations fix the homotopy
+    class, i/+/- if only inversion / reflection / inverted reflection
+    does, c if none.  Two fixed operations force the third, so those are
+    the only cases.  If an image's entry is not a record (it may be an
     unresolved group) the symmetry is left unset.
     """
     ids = {}
-    for kind in words.TRANSFORM_KINDS:
-        image = words.transform(record.nanoword, kind)
-        entry = lookup(image, census, max_members, max_steps)
+    for kind, image in zip(words.TRANSFORM_KINDS, images):
+        entry = census.entry_of(image)
         if not isinstance(entry, StringRecord):
             return record
         ids[kind] = entry.id

@@ -151,7 +151,6 @@ def obtain_census(args, max_n: int) -> cz.CensusTable:
         max_n,
         max_members=args.max_members,
         max_steps=args.max_steps,
-        jobs=args.jobs,
         warn=lambda m: print(f"warning: {m}", file=sys.stderr),
     )
     save_census(census, cache_dir)
@@ -199,7 +198,7 @@ def cmd_invariants(args) -> int:
         return _usage_error(e)
     stats = invariants.n_values(nw)
     u = invariants.u_polynomial(nw)
-    bm = invariants.based_matrix(nw)
+    bm = invariants.based_matrix(nw, stats)
     cf = invariants.canonical_form(bm)
     covers = {
         r: str(invariants.covering_raw(nw, r))
@@ -313,15 +312,12 @@ def cmd_symmetry(args) -> int:
         if not isinstance(rec, cz.StringRecord):
             print(cz.entry_name(rec))
             return EXIT_OK
-        name = rec.id
         if rec.symmetry is None:
-            rec = cz.symmetry_classify(rec, census, args.max_members, args.max_steps)
-        if rec.symmetry is None:
-            print(f"{name}: symmetry not determined")
+            print(f"{rec.id}: symmetry not determined")
             return EXIT_OK
         s = rec.symmetry
         print(
-            f"{name}: type {s.sym_type}, mirror {s.mirror_id}, "
+            f"{rec.id}: type {s.sym_type}, mirror {s.mirror_id}, "
             f"inverse {s.inverse_id}, mirror-inverse {s.mirror_inverse_id}"
         )
     except moves.TruncationError as e:
@@ -354,7 +350,6 @@ def cmd_cover(args) -> int:
 def _add_census_options(p, default_crossings=4):
     p.add_argument("--crossings", type=int, default=default_crossings,
                    help="census depth (default %(default)s)")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.add_argument("--cache", default=DEFAULT_CACHE, help="census cache directory")
     p.add_argument("--max-members", type=int, default=moves.DEFAULT_MAX_MEMBERS)
     p.add_argument("--max-steps", type=int, default=moves.DEFAULT_MAX_STEPS)

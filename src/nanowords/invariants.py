@@ -233,11 +233,12 @@ def _chord_sign(gout: int, gin: int, hout: int, hin: int, size: int) -> int:
     return 0
 
 
-def based_matrix(nw: Nanoword) -> BasedMatrix:
+def based_matrix(nw: Nanoword, stats: LetterStats | None = None) -> BasedMatrix:
     """The based matrix of a nanoword over {s} + letters.
 
-    b(X, s) always equals n(X); this is recomputed independently from the
-    linking numbers and enforced as a postcondition.
+    b(X, s) always equals n(X), which comes independently from the
+    linking numbers (``stats``, the n-values of ``nw``, computed here when
+    not given); this is enforced as a postcondition.
     """
     letters = nw.letters
     n = len(letters)
@@ -323,7 +324,8 @@ def based_matrix(nw: Nanoword) -> BasedMatrix:
                 raise AssertionError("intersection count is not antisymmetric")
 
     result = BasedMatrix(labels, tuple(tuple(row) for row in b))
-    stats = n_values(nw)
+    if stats is None:
+        stats = n_values(nw)
     for x in letters:
         if result.b(x, "s") != stats.n[x]:
             raise AssertionError(

@@ -40,6 +40,8 @@ from dataclasses import dataclass
 from .words import (
     _ALPHA,
     MAX_LETTERS,
+    MIRROR,
+    MIRROR_INVERSE,
     TYPE_A,
     TYPE_B,
     Nanoword,
@@ -172,6 +174,15 @@ def _shift_state(state: State) -> State:
     new_types = dict(enumerate(types))
     new_types[x] ^= 1
     return _norm(word[1:] + (x,), new_types)
+
+
+def _transform_state(state: State, kind: str) -> State:
+    """:func:`words.transform` on an encoded state.  Each kind maps shift
+    and 3-moves to shift and 3-moves, so it maps 3-classes to 3-classes."""
+    word, types = state
+    if kind != MIRROR_INVERSE:
+        types = tuple(t ^ 1 for t in types)
+    return (word, types) if kind == MIRROR else _norm(word[::-1], types)
 
 
 def _removable_letters(state: State):

@@ -1,16 +1,26 @@
 import json
 import random
-from dataclasses import replace
 
 import pytest
+from hypothesis import assume, given, settings
 
 import nanowords.census as cz
 import nanowords.cli as cli
 import nanowords.moves as mv
 from nanowords.invariants import string_phi, u_polynomial
-from nanowords.words import EMPTY, count, parse_nanoword, transform
+from nanowords.words import (
+    EMPTY,
+    INVERSE,
+    MIRROR,
+    MIRROR_INVERSE,
+    TRANSFORM_KINDS,
+    count,
+    parse_nanoword,
+    transform,
+)
 
 import golden
+from test_words import nanowords
 
 
 class TestGenerator:
@@ -71,11 +81,6 @@ class TestCandidates:
                 assert not tc.reducible
                 assert tc.min_member == nw
 
-    def test_parallel_matches_serial(self):
-        serial = cz.candidates(4)
-        parallel = cz.candidates(4, jobs=2)
-        assert serial == parallel
-
 
 class TestIdentify:
     def test_examples(self, census4):
@@ -111,6 +116,16 @@ class TestSymmetry:
             "4.13",
             "i",
         )
+
+    @given(nanowords(min_letters=3, max_letters=6))
+    @settings(max_examples=60, deadline=None)
+    def test_image_minima_match_transformed_classes(self, nw):
+        # no word of fewer than 3 letters is irreducible
+        red = mv.reduce_to_irreducible(nw)
+        assume(red.crossings >= 3)
+        cls = {mv._encode(m) for m in mv.three_class(red).members}
+        for kind, image in zip(TRANSFORM_KINDS, cz._image_minima(cls)):
+            assert image == mv.three_class(transform(red, kind)).min_member
 
     def test_transforms_identify_consistently(self, census4):
         rng = random.Random(8)
@@ -167,7 +182,7 @@ class TestCensusTables:
 
     def test_no_cross_count_collisions_up_to_four(self, census4):
         msgs = []
-        census = cz.build_census(4, warn=msgs.append, with_symmetry=False)
+        census = cz.build_census(4, warn=msgs.append)
         assert msgs == []
         assert census.unresolved == []
 
@@ -227,13 +242,39 @@ def test_identify_idempotent_at_six_crossings(census6):
     assert_identify_idempotent(census6)
 
 
+def test_symmetry_orbit_laws_at_six_crossings(census6):
+    types = {
+        frozenset(TRANSFORM_KINDS): cz.ALL_SYMMETRIC,
+        frozenset({MIRROR}): cz.MIRROR_ONLY,
+        frozenset({INVERSE}): cz.INVERSE_ONLY,
+        frozenset({MIRROR_INVERSE}): cz.MIRROR_INVERSE_ONLY,
+        frozenset(): cz.CHIRAL,
+    }
+    unset = []
+    for rec in census6.records:
+        s = rec.symmetry
+        if s is None:
+            unset.append(rec)
+            continue
+        assert census6.by_id(s.mirror_id).symmetry.mirror_id == rec.id
+        assert census6.by_id(s.inverse_id).symmetry.mirror_id == s.mirror_inverse_id
+        ids = (s.mirror_id, s.inverse_id, s.mirror_inverse_id)
+        fixed = frozenset(k for k, rid in zip(TRANSFORM_KINDS, ids) if rid == rec.id)
+        assert s.sym_type == types[fixed], rec.id
+    # a record's symmetry is unset when an image lands in an unresolved group
+    assert len(unset) == 48
+    for rec in unset:
+        entries = [cz.lookup(transform(rec.nanoword, k), census6) for k in TRANSFORM_KINDS]
+        assert any(isinstance(e, cz.UnresolvedGroup) for e in entries), rec.id
+
+
 class TestIndex:
     @pytest.mark.parametrize("reload", [False, True], ids=["built", "reloaded"])
-    def test_lookups_match_list_scans(self, census4, tmp_path, reload):
-        census = census4
+    def test_lookups_match_list_scans(self, census5, tmp_path, reload):
+        census = census5
         if reload:
-            cli.save_census(census4, tmp_path)
-            census = cli.load_census(tmp_path, 4)
+            cli.save_census(census5, tmp_path)
+            census = cli.load_census(tmp_path, 5)
         phis = {r.phi for r in census.records} | {g.phi for g in census.unresolved}
         for phi in phis:
             assert census.by_phi(phi) == [r for r in census.records if r.phi == phi]
@@ -243,11 +284,20 @@ class TestIndex:
         for rec in census.records:
             assert census.by_id(rec.id) is next(r for r in census.records if r.id == rec.id)
             assert census.phi_of(rec.nanoword) == rec.phi == string_phi(rec.nanoword).phi
-            # the symmetry stage writes its result back into the table
-            unset = replace(rec, symmetry=None)
-            expected = cz.symmetry_classify(unset, census).symmetry
-            assert expected is not None
-            assert census.by_id(rec.id).symmetry == expected
+            # the symmetry taken from the image classes agrees with a full
+            # lookup of each transform, and is unset exactly when one of
+            # them is not a record
+            entries = [
+                cz.lookup(transform(rec.nanoword, kind), census)
+                for kind in TRANSFORM_KINDS
+            ]
+            s = census.by_id(rec.id).symmetry
+            if all(isinstance(e, cz.StringRecord) for e in entries):
+                assert (s.mirror_id, s.inverse_id, s.mirror_inverse_id) == tuple(
+                    e.id for e in entries
+                ), rec.id
+            else:
+                assert s is None, rec.id
         with pytest.raises(KeyError):
             census.by_id("9.9")
         assert census.by_phi((9,)) == [] and census.groups_by_phi((9,)) == []

@@ -252,6 +252,17 @@ class TestSymmetryCommand:
         assert code == 0
         assert out.strip() == "4.6: type c, mirror 4.15, inverse 4.14, mirror-inverse 4.7"
 
+    def test_symmetry_not_determined(self, capsys, tmp_path):
+        # at 5 crossings the images of 4.2 land in an unresolved group, so
+        # the cached 4.2 has no symmetry, also when read back at 4 crossings
+        assert cli.main(["enumerate", "--crossings", "5", "--cache", str(tmp_path)]) == 0
+        capsys.readouterr()
+        code, out, _ = run(
+            capsys, "symmetry", "ABABCDCD:aabb", "--crossings", "4", "--cache", str(tmp_path)
+        )
+        assert code == 0
+        assert out.strip() == "4.2: symmetry not determined"
+
 
 class TestCoverCommand:
     def test_published_example(self, capsys, tmp_path):

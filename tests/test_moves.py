@@ -11,8 +11,10 @@ from nanowords.moves import (
     MoveError,
     MoveInstance,
     TruncationError,
+    _decode,
     _encode,
     _escape_successors,
+    _transform_state,
     applicable_moves,
     apply_move,
     is_reducible,
@@ -20,7 +22,15 @@ from nanowords.moves import (
     shift_rotate,
     three_class,
 )
-from nanowords.words import EMPTY, Nanoword, NanowordError, normalize_increasing, parse_nanoword
+from nanowords.words import (
+    EMPTY,
+    TRANSFORM_KINDS,
+    Nanoword,
+    NanowordError,
+    normalize_increasing,
+    parse_nanoword,
+    transform,
+)
 
 from conftest import random_nanoword
 from test_words import nanowords
@@ -107,6 +117,12 @@ class TestShift:
         for _ in range(len(nw.word)):
             cur = shift_rotate(cur)
         assert cur == nw
+
+
+class TestTransformState:
+    @given(nanowords(max_letters=6), st.sampled_from(TRANSFORM_KINDS))
+    def test_matches_word_transform(self, nw, kind):
+        assert _decode(_transform_state(_encode(nw), kind)) == transform(nw, kind)
 
 
 # --- pattern matching ----------------------------------------------------

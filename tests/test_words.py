@@ -23,8 +23,8 @@ import golden
 
 
 @st.composite
-def nanowords(draw, max_letters=5):
-    n = draw(st.integers(min_value=0, max_value=max_letters))
+def nanowords(draw, max_letters=5, min_letters=0):
+    n = draw(st.integers(min_value=min_letters, max_value=max_letters))
     symbols = []
     for i in range(n):
         symbols += [chr(65 + i)] * 2
