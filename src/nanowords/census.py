@@ -306,7 +306,7 @@ def separate(
     radii = _covering_radii(stats)
     covers: dict[int, Nanoword | None] = dict.fromkeys(radii.values())
     for r in covers:
-        cov = invariants.covering_of(nw, stats, r)
+        cov = invariants.covering(nw, r, stats)
         if cov != nw:
             covers[r] = moves.reduce_to_irreducible(cov, 0, max_members, max_steps)
     seq = [cf.phi if covers[r] is None else census.phi_of(covers[r]) for r in radii.values()]

@@ -1,7 +1,7 @@
 """Command-line frontend: invariant queries, census runs, table output.
 
 Exit codes: 0 success, 1 usage or parse error, 2 truncated computation.
-Census results are cached as one JSON file per crossing number under the
+A census is cached as one JSON file per depth it was built to, under the
 cache directory (default ``./census_cache``).
 """
 
@@ -21,7 +21,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_TRUNCATED = 2
 
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 DEFAULT_CACHE = "census_cache"
 
 
@@ -65,13 +65,11 @@ def _record_from_json(d: dict) -> cz.StringRecord:
     )
 
 
-def census_to_json(census: cz.CensusTable, n: int) -> dict:
+def census_to_json(census: cz.CensusTable) -> dict:
     return {
         "version": CACHE_VERSION,
-        "crossings": n,
-        "records": [
-            _record_to_json(r) for r in census.records if r.crossings == n
-        ],
+        "crossings": census.max_crossings,
+        "records": [_record_to_json(r) for r in census.records],
         "unresolved": [
             {
                 "members": [str(m) for m in g.members],
@@ -81,7 +79,6 @@ def census_to_json(census: cz.CensusTable, n: int) -> dict:
                 "cover_phis": [list(p) for p in g.cover_phis],
             }
             for g in census.unresolved
-            if max(m.crossings for m in g.members) == n
         ],
         "meta": {"limits": census.limits},
     }
@@ -92,17 +89,16 @@ def _cache_file(cache_dir: Path, n: int) -> Path:
 
 
 def save_census(census: cz.CensusTable, cache_dir: Path) -> None:
-    """Write one file per crossing number, each replaced atomically."""
+    """Write the whole census to the file of its depth, replaced atomically."""
     cache_dir.mkdir(parents=True, exist_ok=True)
-    for n in range(census.max_crossings + 1):
-        path = _cache_file(cache_dir, n)
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        payload = census_to_json(census, n)
-        try:
-            tmp.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)
+    path = _cache_file(cache_dir, census.max_crossings)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    payload = census_to_json(census)
+    try:
+        tmp.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _group_from_json(g: dict) -> cz.UnresolvedGroup:
@@ -116,24 +112,22 @@ def _group_from_json(g: dict) -> cz.UnresolvedGroup:
 
 
 def load_census(cache_dir: Path, max_n: int) -> cz.CensusTable | None:
-    """The cached census up to ``max_n`` crossings, or None on a miss.
+    """The census built to ``max_n`` crossings from its cache file, or None.
 
-    A missing, unreadable or malformed file, or one of another cache
-    version, is a miss.
+    A missing, unreadable or malformed file, one of another cache version,
+    or one built to another depth is a miss.
     """
     census = cz.CensusTable(max_crossings=max_n)
-    for n in range(max_n + 1):
-        try:
-            data = json.loads(_cache_file(cache_dir, n).read_text())
-            if data.get("version") != CACHE_VERSION or data.get("crossings") != n:
-                return None
-            records = [_record_from_json(d) for d in data["records"]]
-            groups = [_group_from_json(g) for g in data.get("unresolved", [])]
-            limits = data.get("meta", {}).get("limits", census.limits)
-        except (OSError, ValueError, LookupError, TypeError, AttributeError):
+    try:
+        data = json.loads(_cache_file(cache_dir, max_n).read_text())
+        if data.get("version") != CACHE_VERSION or data.get("crossings") != max_n:
             return None
-        census.add(records, groups)
-        census.limits = limits
+        records = [_record_from_json(d) for d in data["records"]]
+        groups = [_group_from_json(g) for g in data.get("unresolved", [])]
+        census.limits = data.get("meta", {}).get("limits", census.limits)
+    except (OSError, ValueError, LookupError, TypeError, AttributeError):
+        return None
+    census.add(records, groups)
     return census
 
 

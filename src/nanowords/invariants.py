@@ -137,16 +137,17 @@ def u_of(stats: LetterStats) -> UPolynomial:
     return UPolynomial(tuple(sorted((k, c) for k, c in coeffs.items() if c)))
 
 
-def covering_raw(nw: Nanoword, r: int) -> Nanoword:
-    """The r-covering before normalization: letters with r | n(X), kept as is."""
+def covering_raw(nw: Nanoword, r: int, stats: LetterStats | None = None) -> Nanoword:
+    """The r-covering before normalization: letters with r | n(X), kept as is.
+
+    ``stats``, the n-values of ``nw``, are computed here when not given.
+    """
     if r < 1:
         raise InvariantError("covering index r must be >= 1")
     if r == 1:
         return nw
-    return _drop_indivisible(nw, n_values(nw), r)
-
-
-def _drop_indivisible(nw: Nanoword, stats: LetterStats, r: int) -> Nanoword:
+    if stats is None:
+        stats = n_values(nw)
     drop = {x for x, v in stats.n.items() if v % r != 0}
     word = "".join(c for c in nw.word if c not in drop)
     kept = [x for x in nw.letters if x not in drop]
@@ -154,17 +155,11 @@ def _drop_indivisible(nw: Nanoword, stats: LetterStats, r: int) -> Nanoword:
     return Nanoword(word, types)
 
 
-def covering(nw: Nanoword, r: int) -> Nanoword:
+def covering(nw: Nanoword, r: int, stats: LetterStats | None = None) -> Nanoword:
     """The r-covering, increasing-normalized; r = 1 is the identity."""
     if r == 1:
         return nw
-    normalized, _ = normalize_increasing(covering_raw(nw, r))
-    return normalized
-
-
-def covering_of(nw: Nanoword, stats: LetterStats, r: int) -> Nanoword:
-    """:func:`covering` for r >= 2, from the n-values ``stats`` of ``nw``."""
-    normalized, _ = normalize_increasing(_drop_indivisible(nw, stats, r))
+    normalized, _ = normalize_increasing(covering_raw(nw, r, stats))
     return normalized
 
 

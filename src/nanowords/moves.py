@@ -16,6 +16,18 @@ Every H3-family rewrite reverses the three matched adjacent pairs in
 place, so both directions of each schema are realized by the same pair
 swap applied to the two pattern shapes.
 
+One orientation rule names all eight shapes.  A match is three adjacent
+pairs at p < q < r, with p + 2 <= q and q + 2 <= r.  Pair 1 holds the
+first occurrences of two letters; A is the one whose second occurrence
+comes first, and B the other.  Pair 2 holds A's second occurrence and
+the first of a third letter C; pair 3 holds the second occurrences of B
+and C.  Let o1, o2, o3 be 1 when pair 1 reads AB, pair 2 reads AC and
+pair 3 reads BC.  The direction is forward iff o1 = 1.  If o1 = o2 = o3
+the schema is H3, and A, B, C share one type.  Otherwise the pair whose
+orientation differs from the other two names the schema (pair 2: H3a,
+pair 1: H3b, pair 3: H3c), and the letter not in that pair is the one
+whose type differs from the other two.
+
 On top of the raw schemata this module provides the 3-class (closure
 under shift and 3-moves), reducibility, and a greedy reduction driver
 that repeatedly removes crossings until the 3-class is irreducible.
@@ -115,8 +127,6 @@ class ThreeClass:
     reducible: bool
     truncated: bool
     limit_hit: str | None = None
-    max_members: int = DEFAULT_MAX_MEMBERS
-    max_steps: int = DEFAULT_MAX_STEPS
 
 
 # ---------------------------------------------------------------------------
@@ -240,12 +250,16 @@ def _insertions(state: State, max_letters: int) -> list[State]:
     return [_norm(w, t) for w, t in out]
 
 
-# The eight directed H3-family patterns.  Each match is a triple of
-# disjoint adjacent pairs at positions (p, p+1), (q, q+1), (r, r+1) with
-# p+1 < q and q+1 < r; the rewrite reverses all three pairs.  The letter
-# roles (A, B, C) below follow the schema texts in the module docstring.
-# Renaming letters moves no position, so the matches found on the encoded
-# state are the matches on the nanoword it encodes.
+# The orientation rule of the module docstring, read off the schema
+# table: for each o1, every schema's (o2, o3) and the types it needs as
+# (type B != type A) + 2 (type C != type A), in the order of the matches
+# at one p.  Renaming letters moves no position, so the matches on the
+# encoded state are those on its nanoword.
+_H3_RULES = {
+    True: ((1, 1, H3, 0), (0, 1, H3A, 1), (0, 0, H3B, 2), (1, 0, H3C, 3)),
+    False: ((0, 0, H3, 0), (1, 0, H3A, 1), (1, 1, H3B, 2), (0, 1, H3C, 3)),
+}
+
 
 def _h3_matches(state: State) -> list[tuple[str, str, int, int, int]]:
     word, types = state
@@ -254,105 +268,26 @@ def _h3_matches(state: State) -> list[tuple[str, str, int, int, int]]:
     out = []
     for p in range(L - 1):
         u, v = word[p], word[p + 1]
-        if u == v:
+        if pos[u][0] != p or pos[v][0] != p + 1:
             continue
-        pu, pv = pos[u], pos[v]
-        tu, tv = types[u], types[v]
-
-        # Forward shapes: pair 1 is (A, B) with A = u, B = v, and this is
-        # the first occurrence of both.
-        if pu[0] == p and pv[0] == p + 1:
-            A, B = u, v
-            a2, b2 = pu[1], pv[1]
-            tA, tB = tu, tv
-            # H3: A(p,q) B(p+1,r) C(q+1,r+1), pairs (A,B)(A,C)(B,C)
-            q = a2
-            if q >= p + 2 and q + 1 < L:
-                C = word[q + 1]
-                if C != A and C != B and pos[C] == (q + 1, b2 + 1) and b2 >= q + 2:
-                    r = b2
-                    tC = types[C]
-                    if tA == tB == tC:
-                        out.append((H3, FORWARD, p, q, r))
-            # H3a: A(p,q+1) B(p+1,r) C(q,r+1), pairs (A,B)(C,A)(B,C)
-            q = a2 - 1
-            if q >= p + 2:
-                C = word[q]
-                if C != A and C != B and pos[C][0] == q and pos[C][1] == b2 + 1 and b2 >= q + 2:
-                    r = b2
-                    tC = types[C]
-                    if tA == tC != tB:
-                        out.append((H3A, FORWARD, p, q, r))
-            # H3b: A(p,q+1) B(p+1,r+1) C(q,r), pairs (A,B)(C,A)(C,B)
-            q = a2 - 1
-            if q >= p + 2:
-                C = word[q]
-                if C != A and C != B:
-                    c2 = pos[C][1]
-                    if pos[C][0] == q and c2 >= q + 2 and b2 == c2 + 1:
-                        r = c2
-                        tC = types[C]
-                        if tA == tB != tC:
-                            out.append((H3B, FORWARD, p, q, r))
-            # H3c: A(p,q) B(p+1,r+1) C(q+1,r), pairs (A,B)(A,C)(C,B)
-            q = a2
-            if q >= p + 2 and q + 1 < L:
-                C = word[q + 1]
-                if C != A and C != B:
-                    c2 = pos[C][1]
-                    if pos[C][0] == q + 1 and c2 >= q + 2 and b2 == c2 + 1:
-                        r = c2
-                        tC = types[C]
-                        if tB == tC != tA:
-                            out.append((H3C, FORWARD, p, q, r))
-
-        # Backward shapes: pair 1 is (B, A) with B = u, A = v.
-        B, A = u, v
-        tB, tA = tu, tv
-        pa, pb = pos[A], pos[B]
-        # H3 backward: pairs (B,A)(C,A)(C,B): A(p+1,q+1) B(p,r+1) C(q,r)
-        if pa[0] == p + 1 and pb[0] == p:
-            q = pa[1] - 1
-            if q >= p + 2:
-                C = word[q]
-                if C != A and C != B:
-                    c2 = pos[C][1]
-                    if pos[C][0] == q and c2 >= q + 2 and pb[1] == c2 + 1:
-                        r = c2
-                        tC = types[C]
-                        if tA == tB == tC:
-                            out.append((H3, BACKWARD, p, q, r))
-            # H3a backward: pairs (B,A)(A,C)(C,B): A(p+1,q) B(p,r+1) C(q+1,r)
-            q = pa[1]
-            if q >= p + 2 and q + 1 < L:
-                C = word[q + 1]
-                if C != A and C != B:
-                    c2 = pos[C][1]
-                    if pos[C][0] == q + 1 and c2 >= q + 2 and pb[1] == c2 + 1:
-                        r = c2
-                        tC = types[C]
-                        if tA == tC != tB:
-                            out.append((H3A, BACKWARD, p, q, r))
-            # H3b backward: pairs (B,A)(A,C)(B,C): A(p+1,q) B(p,r) C(q+1,r+1)
-            q = pa[1]
-            if q >= p + 2 and q + 1 < L:
-                C = word[q + 1]
-                if C != A and C != B:
-                    r = pb[1]
-                    if r >= q + 2 and pos[C] == (q + 1, r + 1):
-                        tC = types[C]
-                        if tA == tB != tC:
-                            out.append((H3B, BACKWARD, p, q, r))
-            # H3c backward: pairs (B,A)(C,A)(B,C): A(p+1,q+1) B(p,r) C(q,r+1)
-            q = pa[1] - 1
-            if q >= p + 2:
-                C = word[q]
-                if C != A and C != B:
-                    r = pb[1]
-                    if r >= q + 2 and pos[C] == (q, r + 1):
-                        tC = types[C]
-                        if tB == tC != tA:
-                            out.append((H3C, BACKWARD, p, q, r))
+        o1 = pos[u][1] < pos[v][1]
+        A, B = (u, v) if o1 else (v, u)
+        a2, b2 = pos[A][1], pos[B][1]
+        direction = FORWARD if o1 else BACKWARD
+        for o2, o3, kind, need in _H3_RULES[o1]:
+            # pair 2 holds A's second and C's first occurrence
+            c1 = a2 + 1 if o2 else a2 - 1
+            q = a2 if o2 else c1
+            if q < p + 2 or c1 >= L or pos[word[c1]][0] != c1:
+                continue
+            C = word[c1]
+            # pair 3 holds B's and C's second occurrences, so r >= q + 2
+            c2 = pos[C][1]
+            if c2 - b2 != (1 if o3 else -1):
+                continue
+            tA = types[A]
+            if (types[B] ^ tA) + 2 * (types[C] ^ tA) == need:
+                out.append((kind, direction, p, q, b2 if o3 else c2))
     return out
 
 
@@ -634,8 +569,6 @@ def three_class(
         reducible=any(_reducible_state(s) for s in seen),
         truncated=limit is not None,
         limit_hit=limit,
-        max_members=max_members,
-        max_steps=max_steps,
     )
 
 

@@ -311,9 +311,9 @@ class TestIndex:
             assert loaded.entry(g.key) == g
             assert all(loaded.entry_of(m) == g for m in g.members)
         # a file of the previous cache version is a miss
-        path = tmp_path / "census_n3.json"
+        path = tmp_path / "census_n5.json"
         data = json.loads(path.read_text())
-        data["version"] = 1
+        data["version"] = 2
         path.write_text(json.dumps(data))
         assert cli.load_census(tmp_path, 5) is None
 

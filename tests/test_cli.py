@@ -2,6 +2,8 @@ import json
 
 import nanowords.cli as cli
 
+import golden
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -93,7 +95,7 @@ class TestEnumerateCommand:
     def test_cache_roundtrip(self, capsys, tmp_path):
         run(capsys, "enumerate", "--crossings", "3", "--cache", str(tmp_path))
         first = {p.name: p.read_text() for p in tmp_path.glob("*.json")}
-        assert set(first) == {f"census_n{k}.json" for k in range(4)}
+        assert set(first) == {"census_n3.json"}
         census = cli.load_census(tmp_path, 3)
         assert census is not None
         cli.save_census(census, tmp_path)
@@ -102,7 +104,7 @@ class TestEnumerateCommand:
 
     def test_corrupt_cache_is_a_miss(self, capsys, tmp_path):
         run(capsys, "enumerate", "--crossings", "3", "--cache", str(tmp_path))
-        path = tmp_path / "census_n1.json"
+        path = tmp_path / "census_n3.json"
         path.write_text(path.read_text()[:40])
         code, _, err = run(
             capsys, "identify", "BCBECE:aab", "--crossings", "3", "--cache", str(tmp_path)
@@ -123,10 +125,8 @@ class TestEnumerateCommand:
         assert code == 0
         assert out.strip() == "3.1"
         assert "Traceback" not in err
-        assert json.loads(path.read_text())["crossings"] == 1
-        assert sorted(p.name for p in tmp_path.iterdir()) == [
-            f"census_n{k}.json" for k in range(4)
-        ]
+        assert json.loads(path.read_text())["crossings"] == 3
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["census_n3.json"]
 
     def test_json_format(self, capsys, tmp_path):
         code, out, _ = run(
@@ -183,6 +183,20 @@ class TestTablesCommand:
         lines = out.splitlines()
         assert len(lines) == 14
         assert lines[1].split() == ["0", "=", "=", "=", "a"]
+
+    def test_shallower_table_is_not_read_from_deeper_cache(self, capsys, tmp_path):
+        # a 5-crossing build leaves 4.1, 4.2, 4.4 and 4.9 without symmetry
+        # (their images fall in 5-crossing groups); the 4-crossing table
+        # comes from a 4-crossing build
+        assert cli.main(["enumerate", "--crossings", "5", "--cache", str(tmp_path)]) == 0
+        capsys.readouterr()
+        args = ["tables", "3", "--crossings", "4", "--cache", str(tmp_path)]
+        code, _, err = run(capsys, *args)
+        assert code == 1
+        assert "not cached" in err
+        code, out, _ = run(capsys, *args, "--compute")
+        assert code == 0
+        assert [tuple(line.split()) for line in out.splitlines()[1:]] == golden.TABLE3
 
     def test_table1_matches_enumerate(self, capsys, tmp_path):
         code, out, _ = run(
@@ -253,15 +267,26 @@ class TestSymmetryCommand:
         assert out.strip() == "4.6: type c, mirror 4.15, inverse 4.14, mirror-inverse 4.7"
 
     def test_symmetry_not_determined(self, capsys, tmp_path):
-        # at 5 crossings the images of 4.2 land in an unresolved group, so
-        # the cached 4.2 has no symmetry, also when read back at 4 crossings
+        # at 5 crossings the images of 4.2 land in an unresolved group, and
+        # so does 4.2 itself: the word answers with that group
         assert cli.main(["enumerate", "--crossings", "5", "--cache", str(tmp_path)]) == 0
         capsys.readouterr()
+        assert cli.load_census(tmp_path, 5).by_id("4.2").symmetry is None
         code, out, _ = run(
-            capsys, "symmetry", "ABABCDCD:aabb", "--crossings", "4", "--cache", str(tmp_path)
+            capsys, "symmetry", "ABABCDCD:aabb", "--crossings", "5", "--cache", str(tmp_path)
         )
         assert code == 0
-        assert out.strip() == "4.2: symmetry not determined"
+        assert out.strip() == "ambiguous(ABABCDCD:aabb|ABABCDCEDE:aabab|ABABCDCEDE:bbaba)"
+        # a record cached without symmetry says so
+        path = tmp_path / "census_n5.json"
+        data = json.loads(path.read_text())
+        next(r for r in data["records"] if r["id"] == "3.1")["symmetry"] = None
+        path.write_text(json.dumps(data))
+        code, out, _ = run(
+            capsys, "symmetry", "ABACBC:aab", "--crossings", "5", "--cache", str(tmp_path)
+        )
+        assert code == 0
+        assert out.strip() == "3.1: symmetry not determined"
 
 
 class TestCoverCommand:

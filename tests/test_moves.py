@@ -3,17 +3,19 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nanowords.census import candidates
 from nanowords.moves import (
     ALL_KINDS,
+    H3_KINDS,
     MoveError,
     MoveInstance,
     TruncationError,
     _decode,
     _encode,
     _escape_successors,
+    _h3_matches,
     _transform_state,
     applicable_moves,
     apply_move,
@@ -151,7 +153,9 @@ class TestApplicable:
         assert applicable_moves(parse_nanoword("ABAB:aa"), kinds={"H2a"}) == []
         assert len(applicable_moves(parse_nanoword("ABAB:ab"), kinds={"H2a"})) == 1
 
-    @given(nanowords(max_letters=5))
+    @given(nanowords(max_letters=6))
+    @example(parse_nanoword("ABCADCBD:aaba"))  # H3 and H3b at p = 0
+    @example(parse_nanoword("ABCADEDBCE:ababa"))  # H3a and H3c at p = 0
     @settings(max_examples=300)
     def test_h3_matcher_against_brute(self, nw):
         mine = {
@@ -159,6 +163,11 @@ class TestApplicable:
             for m in applicable_moves(nw, kinds={"H3", "H3a", "H3b", "H3c"})
         }
         assert mine == brute_h3_matches(nw)
+        # the state matcher lists each match once, by p and then by schema
+        # in H3_KINDS order: the successor order the searches rely on
+        raw = _h3_matches(_encode(nw))
+        assert set(raw) == mine and len(raw) == len(mine)
+        assert raw == sorted(raw, key=lambda m: (m[2], H3_KINDS.index(m[0])))
 
     @given(nanowords(max_letters=5))
     @settings(max_examples=300)
