@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import census as cz
 from . import invariants, moves, words
-from .words import Nanoword, NanowordError, parse_nanoword
+from .words import NanowordError, parse_nanoword
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -186,16 +186,13 @@ def _usage_error(message) -> int:
 
 
 def cmd_invariants(args) -> int:
-    try:
-        nw = parse_nanoword(args.nanoword)
-    except NanowordError as e:
-        return _usage_error(e)
+    nw = parse_nanoword(args.nanoword)
     stats = invariants.n_values(nw)
-    u = invariants.u_polynomial(nw)
+    u = invariants.u_of(stats)
     bm = invariants.based_matrix(nw, stats)
     cf = invariants.canonical_form(bm)
     covers = {
-        r: str(invariants.covering_raw(nw, r))
+        r: str(invariants.covering_raw(nw, r, stats))
         for r in dict.fromkeys(cz._covering_radii(stats).values())
     }
     if args.json:
@@ -227,11 +224,7 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    try:
-        census = obtain_census(args, args.crossings)
-    except moves.TruncationError as e:
-        print(f"error: truncated: {e}", file=sys.stderr)
-        return EXIT_TRUNCATED
+    census = obtain_census(args, args.crossings)
     rows = [
         r for r in cz.table1(census) if r["id"] == "0" or r["id"].startswith(f"{args.crossings}.")
     ]
@@ -245,11 +238,7 @@ def cmd_tables(args) -> int:
     max_n = {1: 4, 2: 4, 3: 4, 4: 5, 5: 5}[args.table]
     if args.crossings is not None:
         max_n = args.crossings
-    try:
-        census = obtain_census(args, max_n)
-    except moves.TruncationError as e:
-        print(f"error: truncated: {e}", file=sys.stderr)
-        return EXIT_TRUNCATED
+    census = obtain_census(args, max_n)
     tables = cz.build_tables(census)
     if args.table == 1:
         _emit_rows(tables["table1"], ["id", "nanoword", "u", "rho", "phi"], args.format, sys.stdout)
@@ -279,64 +268,33 @@ def cmd_tables(args) -> int:
 
 
 def cmd_identify(args) -> int:
-    try:
-        nw = parse_nanoword(args.nanoword)
-    except NanowordError as e:
-        return _usage_error(e)
-    try:
-        census = obtain_census(args, args.crossings)
-        name = cz.identify(
-            nw, census, args.max_members, args.max_steps, args.insert_budget
-        )
-    except moves.TruncationError as e:
-        print(f"error: truncated: {e}", file=sys.stderr)
-        return EXIT_TRUNCATED
-    print(name)
+    nw = parse_nanoword(args.nanoword)
+    census = obtain_census(args, args.crossings)
+    print(cz.identify(nw, census, args.max_members, args.max_steps, args.insert_budget))
     return EXIT_OK
 
 
 def cmd_symmetry(args) -> int:
-    try:
-        nw = parse_nanoword(args.nanoword)
-    except NanowordError as e:
-        return _usage_error(e)
-    try:
-        census = obtain_census(args, args.crossings)
-        rec = cz.lookup(nw, census, args.max_members, args.max_steps, args.insert_budget)
-        if not isinstance(rec, cz.StringRecord):
-            print(cz.entry_name(rec))
-            return EXIT_OK
-        if rec.symmetry is None:
-            print(f"{rec.id}: symmetry not determined")
-            return EXIT_OK
+    nw = parse_nanoword(args.nanoword)
+    census = obtain_census(args, args.crossings)
+    rec = cz.lookup(nw, census, args.max_members, args.max_steps, args.insert_budget)
+    if not isinstance(rec, cz.StringRecord):
+        print(cz.entry_name(rec))
+    elif rec.symmetry is None:
+        print(f"{rec.id}: symmetry not determined")
+    else:
         s = rec.symmetry
         print(
             f"{rec.id}: type {s.sym_type}, mirror {s.mirror_id}, "
             f"inverse {s.inverse_id}, mirror-inverse {s.mirror_inverse_id}"
         )
-    except moves.TruncationError as e:
-        print(f"error: truncated: {e}", file=sys.stderr)
-        return EXIT_TRUNCATED
     return EXIT_OK
 
 
 def cmd_cover(args) -> int:
-    try:
-        nw = parse_nanoword(args.nanoword)
-    except NanowordError as e:
-        return _usage_error(e)
-    try:
-        raw = invariants.covering_raw(nw, args.r)
-    except invariants.InvariantError as e:
-        return _usage_error(e)
-    try:
-        census = obtain_census(args, args.crossings)
-        name = cz.identify(
-            raw, census, args.max_members, args.max_steps, args.insert_budget
-        )
-    except moves.TruncationError as e:
-        print(f"error: truncated: {e}", file=sys.stderr)
-        return EXIT_TRUNCATED
+    raw = invariants.covering_raw(parse_nanoword(args.nanoword), args.r)
+    census = obtain_census(args, args.crossings)
+    name = cz.identify(raw, census, args.max_members, args.max_steps, args.insert_budget)
     print(f"{raw}, identified {name}")
     return EXIT_OK
 
@@ -406,8 +364,17 @@ def main(argv=None) -> int:
         return _usage_error(f"--crossings must be between 0 and {words.MAX_LETTERS}")
     if getattr(args, "insert_budget", 0) < 0:
         return _usage_error("--insert-budget must not be negative")
+    if getattr(args, "max_members", 1) < 1:
+        return _usage_error("--max-members must be at least 1")
+    if getattr(args, "max_steps", 0) < 0:
+        return _usage_error("--max-steps must not be negative")
     try:
         return args.fn(args)
+    except moves.TruncationError as e:
+        print(f"error: truncated: {e}", file=sys.stderr)
+        return EXIT_TRUNCATED
+    except (NanowordError, invariants.InvariantError) as e:
+        return _usage_error(e)
     except SystemExit as e:
         print(e, file=sys.stderr)
         return EXIT_USAGE

@@ -11,15 +11,19 @@ Three layers:
   isomorphism of primitives by tuple equality.
 
 The based-matrix pairing b(g, h) is the homological intersection number
-of two loops travelling along the curve.  It is computed exactly on the
-ribbon-graph thickening of the curve: every loop is a run of bands (the
-arcs between crossings) closed by a corner at its base crossing; strands
-sharing a band are separated into parallel lanes; intersections then
-happen only inside the crossing disks, where each loop passage is a chord
-and two chords cross iff their endpoints interleave on the disk boundary.
-The two crossing types give mirror-image cyclic orders at the disk, and
-the loop of a letter runs through the span between its occurrences for
-one type and through the complementary span for the other.
+of the loops of g and h, and it is a sum of per-crossing terms read off
+the loops' spans.  Letter X sits at positions x1 < x2 of the word and has
+sign eps(X) = +1 for type a, -1 for type b.  Its loop passes straight
+through position p (in_X(p) = 1) when x1 < p < x2 for type a, and when
+p < x1 or p > x2 for type b; the loop of s passes through every
+position.  For g in {s} + letters and a letter h != g:
+
+    b(g, h) = eps(h) (in_g(h1) - in_g(h2))
+              + sum over letters Z not in {g, h} of
+                eps(Z) (in_g(z1) in_h(z2) - in_g(z2) in_h(z1))
+
+and b(h, g) = -b(g, h).  The first term is where h's loop turns at its
+own crossing, the sum where both loops pass through another one.
 """
 
 from __future__ import annotations
@@ -29,16 +33,11 @@ from dataclasses import dataclass
 
 from .words import TYPE_A, Nanoword, normalize_increasing
 
-# Orientation conventions, pinned by the reference census tables (see
-# tests).  Three independent binary choices: which crossing type is
-# positively oriented (fixes the cyclic order of the four arc ends around
-# the crossing disk), which crossing type's loop runs through the span
-# between its occurrences (the other type's loop takes the complement
-# through the base point), and the global sign of the intersection count.
-# Only one of the eight combinations reproduces the reference data.
-_POSITIVE_TYPE = TYPE_A
-_INTERIOR_TYPE = TYPE_A
-_SIGN = 1
+# Orientation conventions, pinned by the worked example of the reference
+# tables (see tests).  The formula fixes two binary choices: a type-a
+# loop runs through the span between its occurrences (a type-b loop
+# takes the complement, through the base point), and eps(a) = +1.  The
+# other three combinations give a different worked-example matrix.
 
 
 class InvariantError(ValueError):
@@ -213,115 +212,42 @@ class BasedMatrix:
         )
 
 
-def _chord_sign(gout: int, gin: int, hout: int, hin: int, size: int) -> int:
-    # Chords (gin -> gout) and (hin -> hout) on a counterclockwise circle
-    # of `size` marked points cross iff their endpoints interleave; the
-    # sign is + when h crosses g from right to left, which in ccw order
-    # reads (gout, hout, gin, hin).
-    r_in = (gin - gout) % size
-    rh_out = (hout - gout) % size
-    rh_in = (hin - gout) % size
-    if rh_out < r_in < rh_in:
-        return 1
-    if rh_in < r_in < rh_out:
-        return -1
-    return 0
-
-
 def based_matrix(nw: Nanoword, stats: LetterStats | None = None) -> BasedMatrix:
     """The based matrix of a nanoword over {s} + letters.
 
-    b(X, s) always equals n(X), which comes independently from the
-    linking numbers (``stats``, the n-values of ``nw``, computed here when
-    not given); this is enforced as a postcondition.
+    Every entry is the span sum of the module docstring.  b(X, s) always
+    equals n(X), which comes independently from the linking numbers
+    (``stats``, the n-values of ``nw``, computed here when not given);
+    this is enforced as a postcondition.
     """
-    letters = nw.letters
-    n = len(letters)
-    labels = ("s",) + letters
-    if n == 0:
-        return BasedMatrix(("s",), ((0,),))
-    word = nw.word
-    L = len(word)
-    occ = {x: nw.occurrences(x) for x in letters}
-
-    # Band r runs from position r to position (r+1) % L along the curve.
-    # Loop traversals: s takes every band; a letter takes the span between
-    # its occurrences (interior type) or the complementary span.
-    bands_of: dict[str, list[int]] = {"s": list(range(L))}
-    corner: dict[str, tuple[int, int]] = {}  # incoming band, outgoing band
-    for x in letters:
-        i, j = occ[x]
-        if nw.type_of(x) == _INTERIOR_TYPE:
-            bands_of[x] = list(range(i, j))
-            corner[x] = ((j - 1) % L, i)
-        else:
-            bands_of[x] = [r % L for r in range(j, i + L)]
-            corner[x] = ((i - 1) % L, j)
-
-    # Lanes: the loops travelling each band, in a fixed order; parallel
-    # strands inside a band never cross.
-    lanes: list[list[str]] = [[] for _ in range(L)]
-    for lab in labels:
-        for r in bands_of[lab]:
-            lanes[r].append(lab)
-    lane_of = [{lab: k for k, lab in enumerate(lane)} for lane in lanes]
-    covers = [set(lane) for lane in lanes]
-
-    def subpoints(band: int, outgoing: bool) -> list[tuple[int, bool, str]]:
-        # ccw order of the parallel strands at a band end: reversed lanes
-        # where the band leaves the disk, straight lanes where it enters.
-        order = lanes[band][::-1] if outgoing else lanes[band]
-        return [(band, outgoing, lab) for lab in order]
-
+    labels = ("s",) + nw.letters
     m = len(labels)
-    idx = {lab: k for k, lab in enumerate(labels)}
+    # Per label (s first): occurrence positions, sign and loop membership
+    # in_g(p) of every position; a loop never passes its own crossing.
+    occ = [(0, 0)] + [nw.occurrences(x) for x in nw.letters]
+    eps = [0] + [1 if nw.type_of(x) == TYPE_A else -1 for x in nw.letters]
+    inside = [[1] * len(nw.word)]
+    for (x1, x2), e in zip(occ[1:], eps[1:]):
+        inside.append([
+            int(x1 < p < x2 if e > 0 else p < x1 or p > x2)
+            for p in range(len(nw.word))
+        ])
+
     b = [[0] * m for _ in range(m)]
-
-    for z in letters:
-        p, q = occ[z]
-        in1, out1 = (p - 1) % L, p
-        in2, out2 = (q - 1) % L, q
-        if nw.type_of(z) == _POSITIVE_TYPE:
-            attachments = [(out1, True), (out2, True), (in1, False), (in2, False)]
-        else:
-            attachments = [(out1, True), (in2, False), (in1, False), (out2, True)]
-        circle: dict[tuple[int, bool, str], int] = {}
-        for band, outgoing in attachments:
-            for sp in subpoints(band, outgoing):
-                circle[sp] = len(circle)
-        size = len(circle)
-
-        # Passages of each loop through this crossing: straight passes at
-        # the two positions, plus the base letter's corner.  A letter loop
-        # is a contiguous run of bands, so it passes straight through a
-        # position exactly when it covers both adjacent bands; its own
-        # base crossing never qualifies.
-        passages: list[tuple[str, int, int]] = []  # (label, in_sub, out_sub)
-        for lab in labels:
-            for pos_in, pos_out in ((in1, out1), (in2, out2)):
-                if lab in covers[pos_in] and lab in covers[pos_out]:
-                    passages.append(
-                        (lab, circle[(pos_in, False, lab)], circle[(pos_out, True, lab)])
-                    )
-        cin, cout = corner[z]
-        passages.append((z, circle[(cin, False, z)], circle[(cout, True, z)]))
-
-        for (g, gi, go), (h, hi, ho) in itertools.permutations(passages, 2):
-            if g == h:
-                continue
-            s = _chord_sign(go, gi, ho, hi, size)
-            if s:
-                b[idx[g]][idx[h]] += _SIGN * s
-
-    for i in range(m):
-        for j in range(i + 1, m):
-            if b[i][j] != -b[j][i]:
-                raise AssertionError("intersection count is not antisymmetric")
+    for i, j in itertools.combinations(range(m), 2):
+        g, h = inside[i], inside[j]
+        h1, h2 = occ[j]
+        v = eps[j] * (g[h1] - g[h2])
+        for k in range(1, m):
+            if k != i and k != j:
+                z1, z2 = occ[k]
+                v += eps[k] * (g[z1] * h[z2] - g[z2] * h[z1])
+        b[i][j], b[j][i] = v, -v
 
     result = BasedMatrix(labels, tuple(tuple(row) for row in b))
     if stats is None:
         stats = n_values(nw)
-    for x in letters:
+    for x in nw.letters:
         if result.b(x, "s") != stats.n[x]:
             raise AssertionError(
                 f"based matrix column of {x} disagrees with n({x}) on {nw}"

@@ -51,6 +51,9 @@ class TestInvariantsCommand:
             ["identify", "ABAB:ab", "--crossings", "27", "--cache", str(tmp_path)],
             ["identify", "ABAB:ab", "--crossings", "3", "--insert-budget", "-1",
              "--cache", str(tmp_path), "--compute"],
+            ["enumerate", "--crossings", "3", "--max-members", "-3", "--cache", str(tmp_path)],
+            ["enumerate", "--crossings", "3", "--max-members", "0", "--cache", str(tmp_path)],
+            ["enumerate", "--crossings", "3", "--max-steps", "-1", "--cache", str(tmp_path)],
         ):
             code, _, err = run(capsys, *argv)
             assert code == 1

@@ -1,7 +1,7 @@
 """Cross-checks between independent computation paths.
 
 The linking layer (rotation simulation) and the based-matrix layer
-(ribbon intersection counts plus reduction) are implemented separately;
+(span sums of the loops plus reduction) are implemented separately;
 these tests pin the identities that tie them together.
 """
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -25,6 +26,7 @@ from nanowords.invariants import (
     theta_inverse,
     u_polynomial,
 )
+from nanowords.census import increasing_gauss_words
 from nanowords.words import EMPTY, Nanoword, NanowordError, parse_nanoword
 
 import golden
@@ -170,6 +172,19 @@ class TestBasedMatrix:
                     assert bm.entries[i][j] == -bm.entries[j][i]
             for x in nw.letters:
                 assert bm.b(x, "s") == stats.n[x]
+
+    def test_pinned_on_every_word_up_to_five_letters(self):
+        # Every entry of every matrix, digested: 32,055 nanowords.
+        lines = [
+            f"{nw} {based_matrix(nw).entries}"
+            for n in range(6)
+            for w in increasing_gauss_words(n)
+            for bits in itertools.product("ab", repeat=n)
+            for nw in [Nanoword(w, "".join(bits))]
+        ]
+        assert len(lines) == 32055
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "4725a1e8bdb06e63a7368e2b9fd51f2f33ca9e58ec18aaf6ba465dc71be886bb"
 
     def test_validation(self):
         with pytest.raises(InvariantError):
