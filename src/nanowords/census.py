@@ -289,6 +289,7 @@ def separate(
     census: CensusTable,
     max_members: int = DEFAULT_MAX_MEMBERS,
     max_steps: int = DEFAULT_MAX_STEPS,
+    reduced: dict[Nanoword, Nanoword] | None = None,
 ) -> Separation:
     """Invariants and separation key ``(rho, phi, cover_phis)`` of ``nw``.
 
@@ -299,7 +300,13 @@ def separate(
     element ``(phi,)``.  ``covers`` maps the first radius of each
     distinct covering to that covering reduced, or to None where it is
     ``nw`` itself.  Words with different keys are different strings.
+
+    ``reduced`` maps coverings to their reductions under the same
+    limits; it is read and filled, so callers separating many words can
+    share it.
     """
+    if reduced is None:
+        reduced = {}
     stats = invariants.n_values(nw)
     bm = invariants.based_matrix(nw, stats)
     cf = invariants.canonical_form(bm)
@@ -308,7 +315,9 @@ def separate(
     for r in covers:
         cov = invariants.covering(nw, r, stats)
         if cov != nw:
-            covers[r] = moves.reduce_to_irreducible(cov, 0, max_members, max_steps)
+            if cov not in reduced:
+                reduced[cov] = moves.reduce_to_irreducible(cov, 0, max_members, max_steps)
+            covers[r] = reduced[cov]
     seq = [cf.phi if covers[r] is None else census.phi_of(covers[r]) for r in radii.values()]
     seq = seq or [cf.phi]
     while len(seq) > 1 and seq[-1] == seq[-2]:
@@ -376,7 +385,8 @@ def distinguish(
     sharing the invariants; nothing in the calculus decides which, so
     the group is reported rather than treated as an error.
     """
-    seps = {nw: separate(nw, prior, max_members, max_steps) for nw in cands}
+    reduced: dict[Nanoword, Nanoword] = {}
+    seps = {nw: separate(nw, prior, max_members, max_steps, reduced) for nw in cands}
     buckets: dict[tuple, list[Nanoword]] = {}
     for nw in cands:
         buckets.setdefault(seps[nw].key, []).append(nw)

@@ -42,10 +42,19 @@ limit on its result; every other search raises :class:`TruncationError`
 naming the limit and its value.  The public string-level API
 (``applicable_moves``/``apply_move``) validates outside input and is the
 reference the ``State`` successors are tested against.
+
+The move structure is computed once per Gauss word, not per state:
+``_word_table`` finds, from the letter positions alone, the shifted
+word, every positional H3-family match with its swapped word, the
+H1/H2/H2a removal patterns and the reversed word, each successor word
+in normal form with its letter map.  A state's moves are then a check
+of the types each match needs and a permutation of its types; a search
+visits many type assignments of few words, so the tables are cached.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass
 
@@ -141,17 +150,17 @@ class ThreeClass:
 State = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-def _norm(word_seq, type_of) -> State:
+def _relabel(seq) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Increasing normal form of a letter sequence, with the old letter
+    each new letter renames: new letter k carries the type of ``src[k]``."""
     index: dict = {}
-    out = []
-    for x in word_seq:
-        if x not in index:
-            index[x] = len(index)
-        out.append(index[x])
-    types = [0] * len(index)
-    for x, k in index.items():
-        types[k] = type_of[x]
-    return tuple(out), tuple(types)
+    word = tuple([index.setdefault(x, len(index)) for x in seq])
+    return word, tuple(index)
+
+
+def _norm(word_seq, type_of) -> State:
+    word, src = _relabel(word_seq)
+    return word, tuple(type_of[x] for x in src)
 
 
 def _encode(nw: Nanoword) -> State:
@@ -178,12 +187,106 @@ def _positions(word: tuple[int, ...]) -> list[tuple[int, int]]:
     return pos
 
 
+def _swap_pairs(word, p: int, q: int, r: int) -> tuple:
+    w = list(word)
+    w[p], w[p + 1] = w[p + 1], w[p]
+    w[q], w[q + 1] = w[q + 1], w[q]
+    w[r], w[r + 1] = w[r + 1], w[r]
+    return tuple(w)
+
+
+# The orientation rule of the module docstring, read off the schema
+# table: for each o1, every schema's (o2, o3) and the types it needs as
+# (type B != type A) + 2 (type C != type A), in the order of the matches
+# at one p.  Renaming letters moves no position, so the matches on the
+# encoded state are those on its nanoword.
+_H3_RULES = {
+    True: ((1, 1, H3, 0), (0, 1, H3A, 1), (0, 0, H3B, 2), (1, 0, H3C, 3)),
+    False: ((0, 0, H3, 0), (1, 0, H3A, 1), (1, 1, H3B, 2), (0, 1, H3C, 3)),
+}
+
+# Gauss words whose tables are kept.  Bounded because ``identify`` may
+# serve queries for the life of a process; a 3-class search revisits few
+# words many times, so a small cache keeps nearly every hit.
+_WORD_TABLE_SIZE = 512
+
+
+class _WordTable:
+    """The move structure of one Gauss word, before any type is known.
+
+    A successor word is stored in normal form with its letter map
+    ``src`` (see :func:`_relabel`), so a state's successor types are
+    ``tuple(map(types.__getitem__, src))``.
+    """
+
+    # letter sets of H1 removals, by position
+    h1: tuple[tuple[int], ...]
+    # (x, y) of H2/H2a removals, by x; each needs types[x] != types[y]
+    h2: tuple[tuple[int, int], ...]
+    # (word, src, flipped) after a shift, ``flipped`` the rotated letter's
+    # new index; None on the empty word
+    shift: tuple | None
+    # (A, B, C, need, (kind, direction, p, q, r), word, src) for each
+    # positional H3-family match, by p and then by schema; it applies
+    # when (types[B] != types[A]) + 2 (types[C] != types[A]) == need
+    h3: tuple[tuple, ...]
+    # (word, src) of the reversed word
+    reverse: tuple
+
+    # a plain slotted class: a NamedTuple costs more to define at import
+    __slots__ = ("h1", "h2", "shift", "h3", "reverse")
+
+    def __init__(self, h1, h2, shift, h3, reverse):
+        self.h1, self.h2, self.shift, self.h3, self.reverse = h1, h2, shift, h3, reverse
+
+
+@functools.lru_cache(maxsize=_WORD_TABLE_SIZE)
+def _word_table(word: tuple[int, ...]) -> _WordTable:
+    pos = _positions(word)
+    L = len(word)
+    h1 = tuple((word[r],) for r in range(L - 1) if word[r] == word[r + 1])
+    h2 = []
+    for x, (i, j) in enumerate(pos):
+        # i < j, so i + 1 is inside the word
+        y = word[i + 1]
+        if y != x and pos[y][0] == i + 1 and pos[y][1] in (j - 1, j + 1):
+            h2.append((x, y))
+    shift = None
+    if word:
+        shifted, src = _relabel(word[1:] + word[:1])
+        shift = (shifted, src, src.index(word[0]))
+    h3 = []
+    for p in range(L - 1):
+        u, v = word[p], word[p + 1]
+        if pos[u][0] != p or pos[v][0] != p + 1:
+            continue
+        o1 = pos[u][1] < pos[v][1]
+        A, B = (u, v) if o1 else (v, u)
+        a2, b2 = pos[A][1], pos[B][1]
+        direction = FORWARD if o1 else BACKWARD
+        for o2, o3, kind, need in _H3_RULES[o1]:
+            # pair 2 holds A's second and C's first occurrence
+            c1 = a2 + 1 if o2 else a2 - 1
+            q = a2 if o2 else c1
+            if q < p + 2 or c1 >= L or pos[word[c1]][0] != c1:
+                continue
+            C = word[c1]
+            # pair 3 holds B's and C's second occurrences, so r >= q + 2
+            c2 = pos[C][1]
+            if c2 - b2 != (1 if o3 else -1):
+                continue
+            r = b2 if o3 else c2
+            match = (kind, direction, p, q, r)
+            h3.append((A, B, C, need, match, *_relabel(_swap_pairs(word, p, q, r))))
+    return _WordTable(h1, tuple(h2), shift, tuple(h3), _relabel(word[::-1]))
+
+
 def _shift_state(state: State) -> State:
     word, types = state
-    x = word[0]
-    new_types = dict(enumerate(types))
-    new_types[x] ^= 1
-    return _norm(word[1:] + (x,), new_types)
+    shifted, src, flipped = _word_table(word).shift
+    new_types = list(map(types.__getitem__, src))
+    new_types[flipped] ^= 1
+    return shifted, tuple(new_types)
 
 
 def _transform_state(state: State, kind: str) -> State:
@@ -192,27 +295,21 @@ def _transform_state(state: State, kind: str) -> State:
     word, types = state
     if kind != MIRROR_INVERSE:
         types = tuple(t ^ 1 for t in types)
-    return (word, types) if kind == MIRROR else _norm(word[::-1], types)
+    if kind == MIRROR:
+        return word, types
+    reversed_word, src = _word_table(word).reverse
+    return reversed_word, tuple(map(types.__getitem__, src))
 
 
 def _removable_letters(state: State):
     """Letter sets an H1, H2 or H2a removal deletes, in the order of
     :func:`_removal_instances`: H1 by position, then by first letter."""
     word, types = state
-    L = len(word)
-    for r in range(L - 1):
-        if word[r] == word[r + 1]:
-            yield (word[r],)
-    pos = _positions(word)
-    for x, (i, j) in enumerate(pos):
-        if i + 1 >= L:
-            continue
-        y = word[i + 1]
-        if y == x or types[y] == types[x]:
-            continue
-        iy, jy = pos[y]
-        if iy == i + 1 and (jy == j - 1 or jy == j + 1):
-            yield (x, y)
+    table = _word_table(word)
+    yield from table.h1
+    for x, y in table.h2:
+        if types[x] != types[y]:
+            yield x, y
 
 
 def _reducible_state(state: State) -> bool:
@@ -250,58 +347,24 @@ def _insertions(state: State, max_letters: int) -> list[State]:
     return [_norm(w, t) for w, t in out]
 
 
-# The orientation rule of the module docstring, read off the schema
-# table: for each o1, every schema's (o2, o3) and the types it needs as
-# (type B != type A) + 2 (type C != type A), in the order of the matches
-# at one p.  Renaming letters moves no position, so the matches on the
-# encoded state are those on its nanoword.
-_H3_RULES = {
-    True: ((1, 1, H3, 0), (0, 1, H3A, 1), (0, 0, H3B, 2), (1, 0, H3C, 3)),
-    False: ((0, 0, H3, 0), (1, 0, H3A, 1), (1, 1, H3B, 2), (0, 1, H3C, 3)),
-}
-
-
-def _h3_matches(state: State) -> list[tuple[str, str, int, int, int]]:
+def _h3_applicable(state: State) -> list[tuple]:
+    """The H3-family entries of the state's word table that its types meet."""
     word, types = state
-    pos = _positions(word)
-    L = len(word)
     out = []
-    for p in range(L - 1):
-        u, v = word[p], word[p + 1]
-        if pos[u][0] != p or pos[v][0] != p + 1:
-            continue
-        o1 = pos[u][1] < pos[v][1]
-        A, B = (u, v) if o1 else (v, u)
-        a2, b2 = pos[A][1], pos[B][1]
-        direction = FORWARD if o1 else BACKWARD
-        for o2, o3, kind, need in _H3_RULES[o1]:
-            # pair 2 holds A's second and C's first occurrence
-            c1 = a2 + 1 if o2 else a2 - 1
-            q = a2 if o2 else c1
-            if q < p + 2 or c1 >= L or pos[word[c1]][0] != c1:
-                continue
-            C = word[c1]
-            # pair 3 holds B's and C's second occurrences, so r >= q + 2
-            c2 = pos[C][1]
-            if c2 - b2 != (1 if o3 else -1):
-                continue
-            tA = types[A]
-            if (types[B] ^ tA) + 2 * (types[C] ^ tA) == need:
-                out.append((kind, direction, p, q, b2 if o3 else c2))
+    for m in _word_table(word).h3:
+        tA = types[m[0]]
+        if (types[m[1]] ^ tA) + 2 * (types[m[2]] ^ tA) == m[3]:
+            out.append(m)
     return out
 
 
-def _swap_pairs(word, p: int, q: int, r: int) -> tuple:
-    w = list(word)
-    w[p], w[p + 1] = w[p + 1], w[p]
-    w[q], w[q + 1] = w[q + 1], w[q]
-    w[r], w[r + 1] = w[r + 1], w[r]
-    return tuple(w)
+def _h3_matches(state: State) -> list[tuple[str, str, int, int, int]]:
+    return [m[4] for m in _h3_applicable(state)]
 
 
 def _h3_successors(state: State) -> list[State]:
-    word, types = state
-    return [_norm(_swap_pairs(word, p, q, r), types) for _, _, p, q, r in _h3_matches(state)]
+    types = state[1]
+    return [(w, tuple(map(types.__getitem__, src))) for *_, w, src in _h3_applicable(state)]
 
 
 def _neighbors(state: State) -> list[State]:

@@ -220,6 +220,21 @@ class TestCensus5:
     def test_identify_idempotent_on_records(self, census5):
         assert_identify_idempotent(census5)
 
+    def test_shared_covering_reductions(self, census5):
+        # one covering -> reduced dict across many words, as distinguish
+        # shares it, changes no separation
+        reduced = {}
+        reductions = 0
+        for rec in census5.records:
+            shared = cz.separate(rec.nanoword, census5, reduced=reduced)
+            fresh = cz.separate(rec.nanoword, census5)
+            assert (shared.key, shared.covers) == (fresh.key, fresh.covers), rec.id
+            reductions += sum(red is not None for red in fresh.covers.values())
+        # 52 distinct coverings among 920 reductions
+        assert len(reduced) < reductions / 10
+        for cov, red in reduced.items():
+            assert red == mv.reduce_to_irreducible(cov)
+
 
 def assert_identify_idempotent(census):
     # every record outside the unresolved groups identifies as itself and

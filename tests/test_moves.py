@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import re
@@ -5,7 +6,7 @@ import re
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nanowords.census import candidates
+from nanowords.census import candidates, increasing_gauss_words
 from nanowords.moves import (
     ALL_KINDS,
     H3_KINDS,
@@ -16,6 +17,9 @@ from nanowords.moves import (
     _encode,
     _escape_successors,
     _h3_matches,
+    _neighbors,
+    _reducible_state,
+    _removable_letters,
     _transform_state,
     applicable_moves,
     apply_move,
@@ -25,6 +29,7 @@ from nanowords.moves import (
     three_class,
 )
 from nanowords.words import (
+    _ALPHA,
     EMPTY,
     TRANSFORM_KINDS,
     Nanoword,
@@ -237,6 +242,35 @@ class TestApply:
                 or nw.crossings + len(m.letters) <= max_letters
             ]
             assert _escape_successors(_encode(nw), max_letters) == expected, nw
+
+    def test_state_moves_match_public_moves_on_long_words(self):
+        # the lengths identify queries and a 7-crossing search reach
+        rng = random.Random(71)
+        for _ in range(200):
+            nw = random_nanoword(rng, rng.randint(7, 12))
+            s = _encode(nw)
+            moved = applicable_moves(nw, {"shift", *H3_KINDS})
+            assert {(m.kind, m.direction, *m.positions) for m in moved[1:]} == brute_h3_matches(nw)
+            assert _neighbors(s) == [_encode(apply_move(nw, m)) for m in moved], nw
+            assert _reducible_state(s) == is_reducible(nw), nw
+            for kind in TRANSFORM_KINDS:
+                assert _decode(_transform_state(s, kind)) == transform(nw, kind), (nw, kind)
+
+    def test_state_moves_pinned_on_every_word_up_to_five_letters(self):
+        # shift, 3-move successors, removals and transforms of all 32,055
+        # states of at most five letters, adjacent doubles included
+        lines = []
+        for n in range(6):
+            for w in increasing_gauss_words(n):
+                for types in itertools.product((0, 1), repeat=n):
+                    s = (tuple(_ALPHA.index(x) for x in w), types)
+                    lines.append(
+                        f"{s} {_neighbors(s)} {list(_removable_letters(s))} "
+                        f"{[_transform_state(s, k) for k in TRANSFORM_KINDS]}"
+                    )
+        assert len(lines) == 32055
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "ee2945fc8db7dd4488afcc8e0b5d6fe975d6f58b3fd55a24b884385f86cf0df2"
 
     def test_letter_count_deltas(self):
         rng = random.Random(11)
