@@ -1,8 +1,9 @@
 """Census pipeline: enumerate virtual string candidates and classify them.
 
-The generator walks increasing Gauss words in alphabetical order, expands
-the 2^n type assignments, and keeps a nanoword when it is alphabetically
-minimal in its 3-class and that class is irreducible.  Candidates are
+The generator visits the nanowords over increasing Gauss words in
+ascending order and keeps one when it is minimal in its 3-class and that
+class is irreducible.  As starts ascend, a reducible start, or one an
+earlier search reached, is rejected without a search.  Candidates are
 separated by one key: rho, the canonical primitive based matrix phi, and
 the phi of each reduced r-covering.  The same key names a word in
 ``identify``.  Candidates sharing a key, with each other or with an
@@ -77,43 +78,45 @@ def candidates(
 
 
 def _survivors(n, max_members, max_steps):
-    """Yield each candidate's ``State`` with the members of its 3-class."""
-    seen: set[moves.State] = set()
+    """Yield each candidate's ``State`` with the members of its 3-class.
+
+    Starts ascend, so one that is reducible or in ``ahead`` is no
+    candidate; ``ahead`` drops a word once all its types are visited.
+    """
+    ahead: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
     for word in increasing_gauss_words(n, skip_adjacent_doubles=True):
         # An increasing Gauss word is already in the encoded normal form:
         # letter k is the k-th alphabet letter, and its type is bit k.
         letters = tuple(_ALPHA.index(x) for x in word)
         for types in itertools.product((0, 1), repeat=n):
             state = (letters, types)
-            if state in seen:
-                # already visited inside some earlier class: that class was
-                # either discarded or produced its (smaller) minimal member
+            if types in ahead.get(letters, ()) or moves._reducible_state(state):
                 continue
-            cls = _minimal_irreducible_class(state, seen, max_members, max_steps)
+            cls = _minimal_irreducible_class(state, ahead, max_members, max_steps)
             if cls is not None:
                 yield state, cls
+        ahead.pop(letters, None)
 
 
-def _minimal_irreducible_class(start, seen, max_members, max_steps):
+def _minimal_irreducible_class(start, ahead, max_members, max_steps):
     """Guarded 3-class exploration from ``start``: the whole class, or None.
 
     Aborts as soon as a member smaller than ``start`` or a reducible
-    member appears.  All discovered members are added to ``seen``; any of
-    them starting a later exploration would be rejected for the same
-    reason, so each 3-class is explored at most once per run.
+    member appears.  All members but ``start`` and that one are larger
+    than ``start`` and irreducible, and are filed in ``ahead``: a search
+    from one would abort too.  That one is not filed: it is smaller than
+    ``start`` or reducible, so no search ever starts from it.
     """
-    local, found, limit = moves._explore(
-        start,
-        moves._neighbors,
-        lambda s: s < start or moves._reducible_state(s),
-        max_members,
-        max_steps,
-    )
+    def stop(s):
+        return s < start or moves._reducible_state(s)
+
+    local, found, limit = moves._explore(start, moves._neighbors, stop, max_members, max_steps)
     if limit is not None:
         raise moves._truncation(
             f"3-class of {moves._decode(start)}", limit, max_members, max_steps
         )
-    seen.update(local)
+    for word, types in local - {start, found}:
+        ahead.setdefault(word, set()).add(types)
     return local if found is None else None
 
 

@@ -47,9 +47,10 @@ The move structure is computed once per Gauss word, not per state:
 ``_word_table`` finds, from the letter positions alone, the shifted
 word, every positional H3-family match with its swapped word, the
 H1/H2/H2a removal patterns and the reversed word, each successor word
-in normal form with its letter map.  A state's moves are then a check
-of the types each match needs and a permutation of its types; a search
-visits many type assignments of few words, so the tables are cached.
+in normal form with its letter map.  A search visits many type
+assignments of few words, so the tables are cached; each per-state step
+(``_neighbors``, ``_reducible_state``) looks its word's table up once and
+then only checks the types each match needs and permutes them.
 """
 
 from __future__ import annotations
@@ -281,14 +282,6 @@ def _word_table(word: tuple[int, ...]) -> _WordTable:
     return _WordTable(h1, tuple(h2), shift, tuple(h3), _relabel(word[::-1]))
 
 
-def _shift_state(state: State) -> State:
-    word, types = state
-    shifted, src, flipped = _word_table(word).shift
-    new_types = list(map(types.__getitem__, src))
-    new_types[flipped] ^= 1
-    return shifted, tuple(new_types)
-
-
 def _transform_state(state: State, kind: str) -> State:
     """:func:`words.transform` on an encoded state.  Each kind maps shift
     and 3-moves to shift and 3-moves, so it maps 3-classes to 3-classes."""
@@ -301,19 +294,21 @@ def _transform_state(state: State, kind: str) -> State:
     return reversed_word, tuple(map(types.__getitem__, src))
 
 
-def _removable_letters(state: State):
+def _removable_letters(state: State) -> list[tuple[int, ...]]:
     """Letter sets an H1, H2 or H2a removal deletes, in the order of
     :func:`_removal_instances`: H1 by position, then by first letter."""
     word, types = state
     table = _word_table(word)
-    yield from table.h1
-    for x, y in table.h2:
-        if types[x] != types[y]:
-            yield x, y
+    return [*table.h1, *((x, y) for x, y in table.h2 if types[x] != types[y])]
 
 
 def _reducible_state(state: State) -> bool:
-    return next(_removable_letters(state), None) is not None
+    word, types = state
+    table = _word_table(word)
+    for x, y in table.h2:
+        if types[x] != types[y]:
+            return True
+    return bool(table.h1)
 
 
 def _without(state: State, letters) -> State:
@@ -347,11 +342,10 @@ def _insertions(state: State, max_letters: int) -> list[State]:
     return [_norm(w, t) for w, t in out]
 
 
-def _h3_applicable(state: State) -> list[tuple]:
-    """The H3-family entries of the state's word table that its types meet."""
-    word, types = state
+def _h3_applicable(table: _WordTable, types: tuple[int, ...]) -> list[tuple]:
+    """The H3-family entries of a word table that the types meet."""
     out = []
-    for m in _word_table(word).h3:
+    for m in table.h3:
         tA = types[m[0]]
         if (types[m[1]] ^ tA) + 2 * (types[m[2]] ^ tA) == m[3]:
             out.append(m)
@@ -359,25 +353,27 @@ def _h3_applicable(state: State) -> list[tuple]:
 
 
 def _h3_matches(state: State) -> list[tuple[str, str, int, int, int]]:
-    return [m[4] for m in _h3_applicable(state)]
-
-
-def _h3_successors(state: State) -> list[State]:
-    types = state[1]
-    return [(w, tuple(map(types.__getitem__, src))) for *_, w, src in _h3_applicable(state)]
+    return [m[4] for m in _h3_applicable(_word_table(state[0]), state[1])]
 
 
 def _neighbors(state: State) -> list[State]:
-    if not state[0]:
+    word, types = state
+    if not word:
         return []
-    return [_shift_state(state)] + _h3_successors(state)
+    table = _word_table(word)
+    shifted, src, flipped = table.shift
+    new_types = list(map(types.__getitem__, src))
+    new_types[flipped] ^= 1
+    return [(shifted, tuple(new_types))] + [
+        (w, tuple(map(types.__getitem__, src))) for *_, w, src in _h3_applicable(table, types)
+    ]
 
 
 def _escape_successors(state: State, max_letters: int) -> list[State]:
     """Every move of :func:`applicable_moves` with insertions, in its
     order: shift, removals, H3 family, insertions up to ``max_letters``."""
-    shift = [_shift_state(state)] if state[0] else []
-    return shift + _removals(state) + _h3_successors(state) + _insertions(state, max_letters)
+    moved = _neighbors(state)
+    return moved[:1] + _removals(state) + moved[1:] + _insertions(state, max_letters)
 
 
 def _explore(start: State, successors, stop, max_members: int, max_steps: int):
@@ -665,7 +661,7 @@ def reduce_to_irreducible(
             current = _decode(state)
             raise _truncation(f"3-class of {current}", limit, max_members, max_steps, current)
         if found is not None:
-            state = _without(found, next(_removable_letters(found)))
+            state = _without(found, _removable_letters(found)[0])
             continue
         if max_extra_letters > 0:
             smaller = _escape_with_insertions(

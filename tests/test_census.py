@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -14,6 +15,7 @@ from nanowords.words import (
     MIRROR,
     MIRROR_INVERSE,
     TRANSFORM_KINDS,
+    Nanoword,
     count,
     parse_nanoword,
     transform,
@@ -48,17 +50,12 @@ class TestGenerator:
 
     def test_adjacent_doubles_reducible(self):
         # the optimization never discards an irreducible class
-        import itertools
-
-        from nanowords.moves import is_reducible
-        from nanowords.words import Nanoword
-
         for n in (2, 3, 4):
             for w in cz.increasing_gauss_words(n):
                 if all(a != b for a, b in zip(w, w[1:])):
                     continue
                 for bits in itertools.product("ab", repeat=n):
-                    assert is_reducible(Nanoword(w, "".join(bits)))
+                    assert mv.is_reducible(Nanoword(w, "".join(bits)))
 
 
 class TestCandidates:
@@ -80,6 +77,27 @@ class TestCandidates:
                 tc = mv.three_class(nw)
                 assert not tc.reducible
                 assert tc.min_member == nw
+
+    def test_complete_against_three_classes(self):
+        # close every nanoword of up to five letters that no earlier class
+        # holds, adjacent doubles included: each irreducible class gives
+        # its minimal member as a candidate, yielded with the whole class
+        for n in range(6):
+            classes = {}
+            covered = set()
+            for w in cz.increasing_gauss_words(n):
+                for bits in itertools.product("ab", repeat=n):
+                    nw = Nanoword(w, "".join(bits))
+                    if nw in covered:
+                        continue
+                    tc = mv.three_class(nw)
+                    assert not tc.truncated
+                    covered |= tc.members
+                    if not tc.reducible:
+                        classes[tc.min_member] = {mv._encode(m) for m in tc.members}
+            assert cz.candidates(n) == sorted(classes), n
+            for s, cls in cz._survivors(n, mv.DEFAULT_MAX_MEMBERS, mv.DEFAULT_MAX_STEPS):
+                assert cls == classes[mv._decode(s)], mv._decode(s)
 
 
 class TestIdentify:

@@ -258,12 +258,14 @@ class TestApply:
 
     def test_state_moves_pinned_on_every_word_up_to_five_letters(self):
         # shift, 3-move successors, removals and transforms of all 32,055
-        # states of at most five letters, adjacent doubles included
+        # states of at most five letters, adjacent doubles included; the
+        # reducibility test agrees with the removals on each of them
         lines = []
         for n in range(6):
             for w in increasing_gauss_words(n):
                 for types in itertools.product((0, 1), repeat=n):
                     s = (tuple(_ALPHA.index(x) for x in w), types)
+                    assert _reducible_state(s) == bool(list(_removable_letters(s))), s
                     lines.append(
                         f"{s} {_neighbors(s)} {list(_removable_letters(s))} "
                         f"{[_transform_state(s, k) for k in TRANSFORM_KINDS]}"
