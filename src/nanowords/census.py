@@ -283,7 +283,7 @@ class Separation(NamedTuple):
 
     key: tuple
     stats: invariants.LetterStats
-    bm: invariants.BasedMatrix
+    display: tuple[int, ...]
     covers: dict[int, Nanoword | None]
 
 
@@ -311,8 +311,7 @@ def separate(
     if reduced is None:
         reduced = {}
     stats = invariants.n_values(nw)
-    bm = invariants.based_matrix(nw, stats)
-    cf = invariants.canonical_form(bm)
+    cf, _, display = invariants._canonical(invariants.based_matrix(nw, stats))
     radii = _covering_radii(stats)
     covers: dict[int, Nanoword | None] = dict.fromkeys(radii.values())
     for r in covers:
@@ -325,7 +324,7 @@ def separate(
     seq = seq or [cf.phi]
     while len(seq) > 1 and seq[-1] == seq[-2]:
         seq.pop()
-    return Separation((cf.rho, cf.phi, tuple(seq)), stats, bm, covers)
+    return Separation((cf.rho, cf.phi, tuple(seq)), stats, display, covers)
 
 
 def lookup(
@@ -414,9 +413,11 @@ def distinguish(
         elif old is not None:
             group.extend(old.members)
         members = tuple(sorted(group))
+        # a first member that is no candidate is the prior record's word
+        # or the prior group's first member
         first = members[0]
-        bm = seps[first].bm if first in seps else invariants.based_matrix(first)
-        unresolved.append(UnresolvedGroup(members, *key, invariants.display_theta(bm)))
+        display = seps[first].display if first in seps else old.phi_display
+        unresolved.append(UnresolvedGroup(members, *key, display))
 
     records.sort(key=lambda r: r.nanoword)
     records = [
@@ -431,8 +432,7 @@ def _make_record(nw, sep, prior, max_members, max_steps):
         r: "self" if red is None else entry_name(prior.entry_of(red, max_members, max_steps))
         for r, red in sep.covers.items()
     }
-    display = invariants.display_theta(sep.bm)
-    return StringRecord("?", nw, invariants.u_of(sep.stats), *sep.key, display, coverings)
+    return StringRecord("?", nw, invariants.u_of(sep.stats), *sep.key, sep.display, coverings)
 
 
 def build_census(

@@ -189,8 +189,7 @@ def cmd_invariants(args) -> int:
     nw = parse_nanoword(args.nanoword)
     stats = invariants.n_values(nw)
     u = invariants.u_of(stats)
-    bm = invariants.based_matrix(nw, stats)
-    cf = invariants.canonical_form(bm)
+    cf, _, display = invariants._canonical(invariants.based_matrix(nw, stats))
     covers = {
         r: str(invariants.covering_raw(nw, r, stats))
         for r in dict.fromkeys(cz._covering_radii(stats).values())
@@ -204,7 +203,7 @@ def cmd_invariants(args) -> int:
                 "u_text": str(u),
                 "rho": cf.rho,
                 "phi": list(cf.phi),
-                "phi_display": list(invariants.display_theta(bm)),
+                "phi_display": list(display),
                 "coverings": {str(r): c for r, c in covers.items()},
             },
             sys.stdout,

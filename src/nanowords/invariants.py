@@ -24,14 +24,25 @@ position.  For g in {s} + letters and a letter h != g:
 
 and b(h, g) = -b(g, h).  The first term is where h's loop turns at its
 own crossing, the sum where both loops pass through another one.
+
+Per Gauss word, a bounded table (``_word_table``) holds what does not
+depend on the types: for each letter X and each of its two types, the
+masks G1, G2 of the letters whose first and second occurrence X's loop
+passes (for s, every letter).  With A and B the masks of the type-a and
+type-b letters, and H1, H2 also holding h itself (that Z = h term is the
+turn term), an entry is
+
+    popcount(G1 & H2 & A) - popcount(G1 & H2 & B)
+      - popcount(G2 & H1 & A) + popcount(G2 & H1 & B).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
-from .words import TYPE_A, Nanoword, normalize_increasing
+from .words import _ALPHA, TYPE_A, Nanoword
 
 # Orientation conventions, pinned by the worked example of the reference
 # tables (see tests).  The formula fixes two binary choices: a type-a
@@ -44,36 +55,48 @@ class InvariantError(ValueError):
     """Inconsistent invariant input (bad letters, non-skew matrix, ...)."""
 
 
+# Gauss words whose tables are kept, bounded as ``moves._WORD_TABLE_SIZE``.
+_WORD_TABLE_SIZE = 512
+
+
+@functools.lru_cache(maxsize=_WORD_TABLE_SIZE)
+def _word_table(word: str):
+    """``(letters, loops, pairs, kept)``: letter k is ``letters[k]``
+    (alphabetical) and bit k of a mask; ``loops[k][t]`` is (G1, G2) for
+    letter k of type a (t = 0) or b (t = 1); ``pairs`` holds (x, y, p1,
+    p2) per alternating pair x < y, with the parity of y's occurrences
+    before x's first (p1) and second (p2) occurrence; ``kept``, filled by
+    :func:`covering`, maps kept letters to a normal form."""
+    letters = tuple(sorted(set(word)))
+    index = {x: k for k, x in enumerate(letters)}
+    pos = [(word.index(x), word.rindex(x)) for x in letters]
+    loops = []
+    for k, (x1, x2) in enumerate(pos):
+        # a type-a loop passes the positions strictly between x1 and x2,
+        # a type-b loop every other position but x1 and x2
+        g = [0, 0]
+        for p in range(x1 + 1, x2):
+            z = index[word[p]]
+            g[pos[z][1] == p] |= 1 << z
+        rest = ((1 << len(letters)) - 1) ^ (1 << k)
+        loops.append(((g[0], g[1]), (rest ^ g[0], rest ^ g[1])))
+    pairs = []
+    for x, y in itertools.combinations(range(len(letters)), 2):
+        (x1, x2), (y1, y2) = pos[x], pos[y]
+        if (x1 < y1 < x2) != (x1 < y2 < x2):
+            pairs.append((x, y, ((y1 < x1) + (y2 < x1)) % 2, ((y1 < x2) + (y2 < x2)) % 2))
+    return letters, tuple(loops), tuple(pairs), {}
+
+
 # ---------------------------------------------------------------------------
 # Linking numbers and the u-polynomial.
 # ---------------------------------------------------------------------------
 
 
 def linking(nw: Nanoword, x: str, y: str) -> int:
-    """lk(x, y): 0 if the letters do not alternate, otherwise +-1.
-
-    The sign is that of a simulation: shift-rotate the word until it
-    begins with x and x has type a; then y's type a/b gives +1/-1.  With
-    x at positions i < j, the rotation stops at k = i if x has type a and
-    at k = j otherwise (rotating past i flips x to a).  Every letter
-    rotated past flips its type, so y ends with its type flipped once for
-    each of its occurrences before k.
-    """
-    tx, ty = nw.type_of(x), nw.type_of(y)
-    if x == y:
-        return 0
-    return _lk(nw.occurrences(x), nw.occurrences(y), tx == TYPE_A, ty == TYPE_A)
-
-
-def _lk(occ_x: tuple[int, int], occ_y: tuple[int, int], x_is_a: bool, y_is_a: bool) -> int:
-    # The closed form of :func:`linking` from occurrence positions.
-    i, j = occ_x
-    p, q = occ_y
-    if (i < p < j) == (i < q < j):
-        return 0
-    k = i if x_is_a else j
-    flipped = ((p < k) + (q < k)) % 2 == 1
-    return 1 if y_is_a != flipped else -1
+    """lk(x, y): 0 if the letters do not alternate, otherwise +-1."""
+    nw.type_of(x), nw.type_of(y)  # an unknown letter raises
+    return n_values(nw).lk[x][y]
 
 
 @dataclass(frozen=True)
@@ -85,16 +108,18 @@ class LetterStats:
 
 
 def n_values(nw: Nanoword) -> LetterStats:
-    letters = nw.letters
-    occ = {x: nw.occurrences(x) for x in letters}
-    is_a = {x: nw.type_of(x) == TYPE_A for x in letters}
-    lk = {x: {} for x in letters}
-    for x, y in itertools.combinations(letters, 2):
-        v = _lk(occ[x], occ[y], is_a[x], is_a[y])
-        lk[x][y] = v
-        lk[y][x] = -v
-    for x in letters:
-        lk[x][x] = 0
+    """lk over the alternating pairs, and n.  lk(x, y) is the sign of a
+    simulation: shift-rotate the word until it begins with x of type a,
+    and read y's type (a: +1).  The rotation stops at x's first or, for
+    x of type b, second occurrence, and flips y once per occurrence of y
+    before that stop."""
+    letters, _, pairs, _ = _word_table(nw.word)
+    is_a = [t == TYPE_A for t in nw.types]
+    lk = {x: dict.fromkeys(letters, 0) for x in letters}
+    for x, y, p1, p2 in pairs:
+        v = 1 if is_a[y] != (p1 if is_a[x] else p2) else -1
+        lk[letters[x]][letters[y]] = v
+        lk[letters[y]][letters[x]] = -v
     n = {x: sum(lk[x].values()) for x in letters}
     return LetterStats(lk=lk, n=n)
 
@@ -156,10 +181,20 @@ def covering_raw(nw: Nanoword, r: int, stats: LetterStats | None = None) -> Nano
 
 def covering(nw: Nanoword, r: int, stats: LetterStats | None = None) -> Nanoword:
     """The r-covering, increasing-normalized; r = 1 is the identity."""
+    if r < 1:
+        raise InvariantError("covering index r must be >= 1")
     if r == 1:
         return nw
-    normalized, _ = normalize_increasing(covering_raw(nw, r, stats))
-    return normalized
+    if stats is None:
+        stats = n_values(nw)
+    letters, _, _, kept = _word_table(nw.word)
+    keep = tuple(x for x in letters if stats.n[x] % r == 0)
+    if keep not in kept:
+        # :func:`words.normalize_increasing` of the word on ``keep``
+        rename = dict(zip(dict.fromkeys(x for x in nw.word if x in keep), _ALPHA))
+        kept[keep] = "".join(rename[x] for x in nw.word if x in rename), tuple(rename)
+    word, old = kept[keep]
+    return Nanoword(word, "".join(map(nw.type_map.__getitem__, old)))
 
 
 # ---------------------------------------------------------------------------
@@ -215,40 +250,32 @@ class BasedMatrix:
 def based_matrix(nw: Nanoword, stats: LetterStats | None = None) -> BasedMatrix:
     """The based matrix of a nanoword over {s} + letters.
 
-    Every entry is the span sum of the module docstring.  b(X, s) always
-    equals n(X), which comes independently from the linking numbers
-    (``stats``, the n-values of ``nw``, computed here when not given);
-    this is enforced as a postcondition.
+    Every entry is the popcount form of the span sum of the module
+    docstring.  b(X, s) always equals n(X), which comes independently
+    from the linking numbers (``stats``, the n-values of ``nw``, computed
+    here when not given); this is enforced as a postcondition.
     """
-    labels = ("s",) + nw.letters
-    m = len(labels)
-    # Per label (s first): occurrence positions, sign and loop membership
-    # in_g(p) of every position; a loop never passes its own crossing.
-    occ = [(0, 0)] + [nw.occurrences(x) for x in nw.letters]
-    eps = [0] + [1 if nw.type_of(x) == TYPE_A else -1 for x in nw.letters]
-    inside = [[1] * len(nw.word)]
-    for (x1, x2), e in zip(occ[1:], eps[1:]):
-        inside.append([
-            int(x1 < p < x2 if e > 0 else p < x1 or p > x2)
-            for p in range(len(nw.word))
-        ])
+    letters, table, _, _ = _word_table(nw.word)
+    m = len(letters)
+    every = (1 << m) - 1
+    A = sum(1 << k for k, t in enumerate(nw.types) if t == TYPE_A)
+    B = every ^ A
+    # (G1, G2) of each label, s first, and (H1, H2) of each letter
+    loops = [(every, every)] + [table[k][t != TYPE_A] for k, t in enumerate(nw.types)]
+    own = [(h1 | 1 << k, h2 | 1 << k) for k, (h1, h2) in enumerate(loops[1:])]
+    b = [[0] * (m + 1) for _ in range(m + 1)]
+    for i, (g1, g2) in enumerate(loops):
+        for j in range(i + 1, m + 1):
+            h1, h2 = own[j - 1]
+            x, y = g1 & h2, g2 & h1
+            v = (x & A).bit_count() - (x & B).bit_count() - (y & A).bit_count() + (y & B).bit_count()
+            b[i][j], b[j][i] = v, -v
 
-    b = [[0] * m for _ in range(m)]
-    for i, j in itertools.combinations(range(m), 2):
-        g, h = inside[i], inside[j]
-        h1, h2 = occ[j]
-        v = eps[j] * (g[h1] - g[h2])
-        for k in range(1, m):
-            if k != i and k != j:
-                z1, z2 = occ[k]
-                v += eps[k] * (g[z1] * h[z2] - g[z2] * h[z1])
-        b[i][j], b[j][i] = v, -v
-
-    result = BasedMatrix(labels, tuple(tuple(row) for row in b))
+    result = BasedMatrix(("s",) + letters, tuple(tuple(row) for row in b))
     if stats is None:
         stats = n_values(nw)
-    for x in nw.letters:
-        if result.b(x, "s") != stats.n[x]:
+    for x, row in zip(letters, b[1:]):
+        if row[0] != stats.n[x]:
             raise AssertionError(
                 f"based matrix column of {x} disagrees with n({x}) on {nw}"
             )
@@ -269,17 +296,12 @@ def _reduction_candidates(bm: BasedMatrix) -> list[tuple[str, ...]]:
     """
     m = bm.size
     B = bm.entries
-    singles: list[tuple[str, ...]] = []
-    for i in range(1, m):
-        if all(B[i][j] == 0 for j in range(m)):
-            singles.append((bm.labels[i],))
-        elif all(B[i][j] == B[0][j] for j in range(m)):
-            singles.append((bm.labels[i],))
-    pairs: list[tuple[str, ...]] = []
-    for i in range(1, m):
-        for j in range(i + 1, m):
-            if all(B[i][h] + B[j][h] == B[0][h] for h in range(m)):
-                pairs.append((bm.labels[i], bm.labels[j]))
+    singles = [(bm.labels[i],) for i in range(1, m) if not any(B[i]) or B[i] == B[0]]
+    pairs = [
+        (bm.labels[i], bm.labels[j])
+        for i, j in itertools.combinations(range(1, m), 2)
+        if all(B[i][h] + B[j][h] == B[0][h] for h in range(m))
+    ]
     return singles + pairs
 
 
@@ -341,10 +363,13 @@ def m_profile(bm: BasedMatrix, g: str) -> tuple[int, ...]:
     """
     if g == "s":
         raise InvariantError("m-profile is only defined for g != s")
-    gi = bm.index(g)
+    return _profile(bm.entries[bm.index(g)])
+
+
+def _profile(row: tuple[int, ...]) -> tuple[int, ...]:
+    # :func:`m_profile` of the element whose row is ``row``
     counts: dict[int, int] = {}
-    for j in range(1, bm.size):
-        v = bm.entries[gi][j]
+    for v in row[1:]:
         counts[v] = counts.get(v, 0) + 1
     out: list[int] = []
     for i in sorted(counts):
@@ -376,76 +401,72 @@ def phi_string(phi: tuple[int, ...]) -> str:
     return ",".join(str(v) for v in phi)
 
 
-def _element_classes(bm: BasedMatrix) -> list[list[str]]:
-    # Partition G - {s} by the isomorphism invariants (b(g,s), m-profile),
-    # classes sorted ascending by that key.
-    keyed: dict[tuple, list[str]] = {}
-    for g in bm.labels[1:]:
-        key = (bm.b(g, "s"), m_profile(bm, g))
-        keyed.setdefault(key, []).append(g)
+def _element_classes(bm: BasedMatrix) -> list[list[int]]:
+    # Partition the rows of G - {s} by the isomorphism invariants
+    # (b(g, s), m-profile), classes sorted ascending by that key and rows
+    # ascending within a class.
+    keyed: dict[tuple, list[int]] = {}
+    for i in range(1, bm.size):
+        row = bm.entries[i]
+        keyed.setdefault((row[0], _profile(row)), []).append(i)
     return [keyed[k] for k in sorted(keyed)]
 
 
-def _min_theta(bm: BasedMatrix, classes: list[list[str]], prune: bool = True):
+def _theta_at(B, ids: list[int]) -> tuple[int, ...]:
+    # theta of the matrix B with its rows and columns taken in order ids
+    m = len(ids)
+    return tuple(B[ids[i]][ids[j]] for j in range(m) for i in range(j + 1, m))
+
+
+def _min_theta(bm: BasedMatrix, classes: list[list[int]]):
     # Minimize theta over orderings that keep s first and each class in a
     # contiguous block, searching all within-class permutations.  The DFS
     # places one element at a time and prunes on the contiguous theta
     # prefix known so far: column 1 is fixed by the class layout, and with
     # k elements placed column 2 is known down to row k+1.
-    m = bm.size
     B = bm.entries
-    index = {lab: bm.index(lab) for lab in bm.labels}
-    col1 = tuple(B[index[g]][0] for cls in classes for g in cls)
-    best: dict = {"theta": None, "order": None}
+    col1 = tuple(B[g][0] for cls in classes for g in cls)
+    best: list = [None, None]
 
-    def theta_of(order: list[str]) -> tuple[int, ...]:
-        ids = [0] + [index[lab] for lab in order]
-        return tuple(
-            B[ids[i]][ids[j]] for j in range(m) for i in range(j + 1, m)
-        )
-
-    def rec(ci: int, pool: list[str], order: list[str]):
-        if prune and best["theta"] is not None and len(order) >= 2:
-            ids = [index[lab] for lab in order]
-            prefix = col1 + tuple(B[ids[i]][ids[0]] for i in range(1, len(ids)))
-            if prefix > best["theta"][: len(prefix)]:
+    def rec(ci: int, pool: list[int], order: list[int]):
+        # ``pool``: what is left of the class before ``classes[ci]``
+        if best[0] is not None and len(order) >= 2:
+            prefix = col1 + tuple(B[g][order[0]] for g in order[1:])
+            if prefix > best[0][: len(prefix)]:
                 return
-        if not pool:
-            if ci + 1 < len(classes):
-                rec(ci + 1, list(classes[ci + 1]), order)
-            else:
-                t = theta_of(order)
-                if best["theta"] is None or t < best["theta"]:
-                    best["theta"] = t
-                    best["order"] = ("s", *order)
-            return
-        for g in pool:
-            rest = [h for h in pool if h != g]
-            rec(ci, rest, order + [g])
+        if pool:
+            for g in pool:
+                rec(ci, [h for h in pool if h != g], order + [g])
+        elif ci < len(classes):
+            rec(ci + 1, classes[ci], order)
+        else:
+            t = _theta_at(B, [0] + order)
+            if best[0] is None or t < best[0]:
+                best[:] = t, [0] + order
 
-    if not classes:
-        return theta_of([]), ("s",)
-    rec(0, list(classes[0]), [])
-    return best["theta"], best["order"]
+    rec(0, [], [])
+    return best[0], tuple(bm.labels[i] for i in best[1])
 
 
 def canonical_form(bm: BasedMatrix) -> CanonicalPBM:
     """phi of the primitive reduction of ``bm`` (reducing defensively)."""
-    t, _ = _canonical(bm)
-    return t
+    return _canonical(bm)[0]
 
 
 def canonical_order(bm: BasedMatrix) -> tuple[str, ...]:
     """Element order realizing phi (the first minimizing arrangement)."""
-    _, order = _canonical(bm)
-    return order
+    return _canonical(bm)[1]
 
 
 def _canonical(bm: BasedMatrix):
+    """phi, the order realizing it and, from the same reduction, the
+    display tuple: theta of the primitive in the order s, then the
+    element classes one after another (:func:`display_theta`)."""
     prim = reduce_based_matrix(bm)
     classes = _element_classes(prim)
     t, order = _min_theta(prim, classes)
-    return CanonicalPBM(rho=prim.size - 1, phi=t), order
+    display = _theta_at(prim.entries, [0] + [g for cls in classes for g in cls])
+    return CanonicalPBM(rho=prim.size - 1, phi=t), order, display
 
 
 def string_phi(nw: Nanoword) -> CanonicalPBM:
@@ -462,10 +483,4 @@ def display_theta(bm: BasedMatrix) -> tuple[int, ...]:
     holds interchangeable elements whose given order is not the minimal
     one (a single known census entry).  Use it for table display only.
     """
-    prim = reduce_based_matrix(bm)
-    order = ["s"] + sorted(
-        prim.labels[1:], key=lambda g: (prim.b(g, "s"), m_profile(prim, g))
-    )
-    ids = [prim.index(g) for g in order]
-    return theta([[prim.entries[i][j] for j in ids] for i in ids])
-
+    return _canonical(bm)[2]

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -252,6 +253,23 @@ class TestCensus5:
         assert len(reduced) < reductions / 10
         for cov, red in reduced.items():
             assert red == mv.reduce_to_irreducible(cov)
+
+
+def census_digest(census):
+    tables = cz.build_tables(census)
+    return hashlib.sha256(repr((census.records, census.unresolved, tables)).encode()).hexdigest()
+
+
+def test_pinned_census_at_five_crossings():
+    assert census_digest(cz.build_census(5)) == (
+        "f6b435fb921cc7e51d333599695c23bd7907f29fde6f174535312f1899836a58"
+    )
+
+
+def test_pinned_census_at_six_crossings(census6):
+    assert census_digest(census6) == (
+        "511736b1257b1e4601738bc81d55501056cd589f69f9abeb67f20dac6ac08fdd"
+    )
 
 
 def assert_identify_idempotent(census):

@@ -3,7 +3,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import nanowords.invariants as inv
 from nanowords.invariants import (
@@ -27,7 +27,7 @@ from nanowords.invariants import (
     u_polynomial,
 )
 from nanowords.census import increasing_gauss_words
-from nanowords.words import EMPTY, Nanoword, NanowordError, parse_nanoword
+from nanowords.words import EMPTY, Nanoword, NanowordError, normalize_increasing, parse_nanoword
 
 import golden
 from conftest import random_nanoword
@@ -46,6 +46,43 @@ def simulate_linking(nw, x, y):
         word.append(first)
         types[first] = "b" if types[first] == "a" else "a"
     return 1 if types[y] == "a" else -1
+
+
+def span_matrix(nw):
+    """Independent oracle for the based matrix: the span sum of the
+    ``invariants`` docstring, term by term over positions."""
+    occ = [None] + [nw.occurrences(x) for x in nw.letters]
+    eps = [0] + [1 if nw.type_of(x) == "a" else -1 for x in nw.letters]
+    inside = [[1] * len(nw.word)] + [
+        [int(x1 < p < x2 if e > 0 else p < x1 or p > x2) for p in range(len(nw.word))]
+        for (x1, x2), e in zip(occ[1:], eps[1:])
+    ]
+    m = len(occ)
+    b = [[0] * m for _ in range(m)]
+    for i, j in itertools.combinations(range(m), 2):
+        g, h = inside[i], inside[j]
+        v = eps[j] * (g[occ[j][0]] - g[occ[j][1]])
+        for k in range(1, m):
+            if k not in (i, j):
+                z1, z2 = occ[k]
+                v += eps[k] * (g[z1] * h[z2] - g[z2] * h[z1])
+        b[i][j], b[j][i] = v, -v
+    return tuple(tuple(row) for row in b)
+
+
+@st.composite
+def type_variants(draw, max_letters=12):
+    """One Gauss word on any uppercase letters, under 1-4 type words.
+
+    The variants share the invariants' per-word table, so an entry that
+    kept a type would show as a wrong value on a later variant.
+    """
+    n = draw(st.integers(min_value=0, max_value=max_letters))
+    alphabet = st.sampled_from("ABCDEFGHIJKLMNOPQRSTUVWXYZ")
+    letters = draw(st.lists(alphabet, min_size=n, max_size=n, unique=True))
+    word = "".join(draw(st.permutations(letters * 2)))
+    types = draw(st.lists(st.text("ab", min_size=n, max_size=n), min_size=1, max_size=4))
+    return [Nanoword(word, t) for t in types]
 
 
 class TestLinking:
@@ -90,6 +127,15 @@ class TestNValues:
             for x in nw.letters:
                 assert stats.n[x] == sum(stats.lk[x].values())
                 assert stats.lk[x][x] == 0
+
+    @settings(deadline=None)
+    @given(type_variants())
+    def test_table_matches_simulation(self, variants):
+        for nw in variants:
+            lk = n_values(nw).lk
+            assert lk == {
+                x: {y: simulate_linking(nw, x, y) for y in nw.letters} for x in nw.letters
+            }
 
 
 class TestUPolynomial:
@@ -138,6 +184,36 @@ class TestCovering:
     def test_bad_radius(self):
         with pytest.raises(InvariantError):
             covering_raw(EMPTY, 0)
+        with pytest.raises(InvariantError):
+            covering(EMPTY, 0)
+
+    @settings(deadline=None)
+    @given(type_variants())
+    def test_table_matches_drop_then_normalize(self, variants):
+        for nw in variants:
+            n = {x: sum(simulate_linking(nw, x, y) for y in nw.letters) for x in nw.letters}
+            for r in range(2, 14):
+                kept = [x for x in nw.letters if n[x] % r == 0]
+                dropped = Nanoword(
+                    "".join(c for c in nw.word if c in kept),
+                    "".join(nw.type_of(x) for x in kept),
+                )
+                assert covering(nw, r) == normalize_increasing(dropped)[0]
+
+    def test_lk_and_coverings_pinned_on_every_word_up_to_five_letters(self):
+        # The lk table and the 2..6-coverings of 32,055 nanowords, digested.
+        lines = []
+        for n in range(6):
+            for w in increasing_gauss_words(n):
+                for bits in itertools.product("ab", repeat=n):
+                    nw = Nanoword(w, "".join(bits))
+                    lk = n_values(nw).lk
+                    rows = [[lk[x][y] for y in nw.letters] for x in nw.letters]
+                    covers = [str(covering(nw, r)) for r in range(2, 7)]
+                    lines.append(f"{nw} {rows} {covers}")
+        assert len(lines) == 32055
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "8bb9eca7391cdc6de2617a115e1ddc2ea2241ed03963a83c76906a7332c758ff"
 
 
 class TestBasedMatrix:
@@ -185,6 +261,14 @@ class TestBasedMatrix:
         assert len(lines) == 32055
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == "4725a1e8bdb06e63a7368e2b9fd51f2f33ca9e58ec18aaf6ba465dc71be886bb"
+
+    @settings(deadline=None)
+    @given(type_variants())
+    def test_table_matches_span_formula(self, variants):
+        for nw in variants:
+            bm = based_matrix(nw)
+            assert bm.labels == ("s",) + nw.letters
+            assert bm.entries == span_matrix(nw)
 
     def test_validation(self):
         with pytest.raises(InvariantError):
@@ -283,22 +367,36 @@ class TestCanonicalForm:
             )
             prim = reduce_based_matrix(bm)
             classes = inv._element_classes(prim)
-            pruned, _ = inv._min_theta(prim, classes, prune=True)
+            pruned, _ = inv._min_theta(prim, classes)
             brute = min(
                 theta(
                     [
-                        [prim.b(g, h) for h in order]
+                        [prim.entries[g][h] for h in order]
                         for g in order
                     ]
                 )
                 for order in (
-                    ["s", *sum((list(p) for p in perms), [])]
+                    [0, *sum((list(p) for p in perms), [])]
                     for perms in itertools.product(
                         *[list(itertools.permutations(c)) for c in classes]
                     )
                 )
             ) if classes else ()
             assert pruned == brute
+
+    @settings(deadline=None)
+    @given(type_variants())
+    def test_display_is_stable_class_sort(self, variants):
+        # the display tuple is theta of the primitive with its elements
+        # stably sorted by (b(g, s), m-profile)
+        for nw in variants:
+            bm = based_matrix(nw)
+            prim = reduce_based_matrix(bm)
+            order = ["s"] + sorted(
+                prim.labels[1:], key=lambda g: (prim.b(g, "s"), m_profile(prim, g))
+            )
+            expected = theta([[prim.b(g, h) for h in order] for g in order])
+            assert display_theta(bm) == expected
 
     def test_display_agrees_except_known_entry(self, census4):
         # the class-sorted display arrangement equals the canonical minimum
