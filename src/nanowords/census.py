@@ -3,11 +3,13 @@
 The generator visits the nanowords over increasing Gauss words in
 ascending order and keeps one when it is minimal in its 3-class and that
 class is irreducible.  As starts ascend, a reducible start, or one an
-earlier search reached, is rejected without a search.  Candidates are
-separated by one key: rho, the canonical primitive based matrix phi, and
-the phi of each reduced r-covering.  The same key names a word in
-``identify``.  Candidates sharing a key, with each other or with an
-earlier entry, are reported as an unresolved group, never merged
+earlier search reached, is rejected without a search.  A class's
+mirror, inverse and mirror-inverse are classes of the same walk, each
+found by looking one member's transform up among the later classes.
+Candidates are separated by one key: rho, the canonical primitive based
+matrix phi, and the phi of each reduced r-covering.  The same key names
+a word in ``identify``.  Candidates sharing a key, with each other or
+with an earlier entry, are reported as an unresolved group, never merged
 (whether its members are homotopic is an open question, and a group may
 pair a candidate with a smaller-crossing record, since uniqueness of
 irreducible 3-classes is unproven).
@@ -120,13 +122,30 @@ def _minimal_irreducible_class(start, ahead, max_members, max_steps):
     return local if found is None else None
 
 
-def _image_minima(cls) -> tuple[Nanoword, ...]:
-    """Minimal members of the images of the 3-class ``cls`` under each of
-    ``words.TRANSFORM_KINDS``: a transform maps a 3-class onto a 3-class."""
-    return tuple(
-        moves._decode(min(moves._transform_state(s, kind) for s in cls))
-        for kind in words.TRANSFORM_KINDS
-    )
+def _image_minima(survivors) -> dict[Nanoword, tuple[Nanoword, ...]]:
+    """Each survivor of one depth's walk, decoded, mapped to the minimal
+    members of its class's images under ``words.TRANSFORM_KINDS``.  Each
+    kind pairs the walk's classes: a class files one member's image in
+    ``waiting``, and the class holding that image claims it."""
+    images: dict[Nanoword, list] = {}
+    waiting: dict[moves.State, list[tuple[Nanoword, int]]] = {}
+    for s, cls in survivors:
+        nw = moves._decode(s)
+        row = images[nw] = [None] * len(words.TRANSFORM_KINDS)
+        for m in cls:
+            for other, k in waiting.pop(m, ()):
+                row[k] = other
+                images[other][k] = nw
+        for k, kind in enumerate(words.TRANSFORM_KINDS):
+            if row[k] is None:
+                image = moves._transform_state(s, kind)
+                if image in cls:
+                    row[k] = nw
+                else:
+                    waiting.setdefault(image, []).append((nw, k))
+    if waiting:
+        raise RuntimeError(f"{sum(map(len, waiting.values()))} images were not walked")
+    return {nw: tuple(row) for nw, row in images.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -448,10 +467,7 @@ def build_census(
     )
     images: dict[Nanoword, tuple[Nanoword, ...]] = {}
     for n in range(max_n + 1):
-        found = {
-            moves._decode(s): _image_minima(cls)
-            for s, cls in _survivors(n, max_members, max_steps)
-        }
+        found = _image_minima(_survivors(n, max_members, max_steps))
         images.update(found)
         records, unresolved = distinguish(
             sorted(found), census, n, max_members, max_steps, warn
@@ -471,13 +487,14 @@ def symmetry_classify(
     """Fill in mirror/inverse ids and the five-way symmetry type.
 
     ``images`` are the minimal members of the 3-classes of the record's
-    mirror, inverse and mirror-inverse (:func:`_image_minima`); each is
-    a candidate of the record's crossing number, so its entry is found
-    by its stored key.  Types: a if all three operations fix the homotopy
-    class, i/+/- if only inversion / reflection / inverted reflection
-    does, c if none.  Two fixed operations force the third, so those are
-    the only cases.  If an image's entry is not a record (it may be an
-    unresolved group) the symmetry is left unset.
+    mirror, inverse and mirror-inverse, which :func:`_image_minima` finds
+    among the classes of the same walk; each is a candidate of the
+    record's crossing number, so its entry is found by its stored key.
+    Types: a if all three operations fix the homotopy class, i/+/- if
+    only inversion / reflection / inverted reflection does, c if none.
+    Two fixed operations force the third, so those are the only cases.
+    If an image's entry is not a record (it may be an unresolved group)
+    the symmetry is left unset.
     """
     ids = {}
     for kind, image in zip(words.TRANSFORM_KINDS, images):

@@ -116,6 +116,16 @@ class TestIdentify:
         assert "ABABCDCD:aaaa" in name and "ABABCDCEDE:aaaba" in name
 
 
+@pytest.fixture(scope="module")
+def walks():
+    """Each depth's survivors with their 3-classes, and their images."""
+    out = {}
+    for n in range(7):
+        survivors = list(cz._survivors(n, mv.DEFAULT_MAX_MEMBERS, mv.DEFAULT_MAX_STEPS))
+        out[n] = survivors, cz._image_minima(survivors)
+    return out
+
+
 class TestSymmetry:
     def test_row_4_6(self, census4):
         rec = census4.by_id("4.6")
@@ -136,15 +146,39 @@ class TestSymmetry:
             "i",
         )
 
+    def test_image_minima_match_transformed_classes(self, walks):
+        for n, (survivors, images) in walks.items():
+            assert list(images) == [mv._decode(s) for s, _ in survivors], n
+            for s, cls in survivors:
+                nw = mv._decode(s)
+                if n <= 5:
+                    want = [mv.three_class(transform(nw, k)).min_member for k in TRANSFORM_KINDS]
+                else:
+                    # the minimum of the transformed members
+                    want = [
+                        mv._decode(min(mv._transform_state(m, k) for m in cls))
+                        for k in TRANSFORM_KINDS
+                    ]
+                assert images[nw] == tuple(want), nw
+                assert all(images[image][i] == nw for i, image in enumerate(want)), nw
+
     @given(nanowords(min_letters=3, max_letters=6))
     @settings(max_examples=60, deadline=None)
-    def test_image_minima_match_transformed_classes(self, nw):
+    def test_image_minima_of_random_words(self, walks, nw):
         # no word of fewer than 3 letters is irreducible
         red = mv.reduce_to_irreducible(nw)
         assume(red.crossings >= 3)
-        cls = {mv._encode(m) for m in mv.three_class(red).members}
-        for kind, image in zip(TRANSFORM_KINDS, cz._image_minima(cls)):
+        images = walks[red.crossings][1][mv.three_class(red).min_member]
+        for kind, image in zip(TRANSFORM_KINDS, images):
             assert image == mv.three_class(transform(red, kind)).min_member
+
+    def test_image_minima_refuse_a_missing_class(self, walks):
+        # a chiral class's three images wait for it in vain
+        survivors, images = walks[4]
+        chiral = next(k for k, (nw, row) in enumerate(images.items()) if nw not in row)
+        rest = survivors[:chiral] + survivors[chiral + 1 :]
+        with pytest.raises(RuntimeError, match="^3 images were not walked$"):
+            cz._image_minima(rest)
 
     def test_transforms_identify_consistently(self, census4):
         rng = random.Random(8)
