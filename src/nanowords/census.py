@@ -83,42 +83,49 @@ def _survivors(n, max_members, max_steps):
     """Yield each candidate's ``State`` with the members of its 3-class.
 
     Starts ascend, so one that is reducible or in ``ahead`` is no
-    candidate; ``ahead`` drops a word once all its types are visited.
+    candidate.  ``ahead`` holds the type masks (bit k: letter k's type)
+    that searches reached in a word, ``tables`` the walk's word tables;
+    each drops a word once the walk passes it.
     """
-    ahead: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
+    masks = {t: sum(x << k for k, x in enumerate(t)) for t in itertools.product((0, 1), repeat=n)}
+    ahead: dict[tuple[int, ...], set[int]] = {}
+    tables = moves._Tables()
+    table_of = tables.__getitem__
     for word in increasing_gauss_words(n, skip_adjacent_doubles=True):
         # An increasing Gauss word is already in the encoded normal form:
         # letter k is the k-th alphabet letter, and its type is bit k.
         letters = tuple(_ALPHA.index(x) for x in word)
-        for types in itertools.product((0, 1), repeat=n):
-            state = (letters, types)
-            if types in ahead.get(letters, ()) or moves._reducible_state(state):
+        reached = ahead.setdefault(letters, set())
+        for types, mask in masks.items():
+            if mask in reached or moves._reducible_state((letters, types), table_of):
                 continue
-            cls = _minimal_irreducible_class(state, ahead, max_members, max_steps)
+            state = (letters, types)
+            cls = _minimal_irreducible_class(state, ahead, masks, table_of, max_members, max_steps)
             if cls is not None:
                 yield state, cls
-        ahead.pop(letters, None)
+        del ahead[letters], tables[letters]
 
 
-def _minimal_irreducible_class(start, ahead, max_members, max_steps):
+def _minimal_irreducible_class(start, ahead, masks, table_of, max_members, max_steps):
     """Guarded 3-class exploration from ``start``: the whole class, or None.
 
     Aborts as soon as a member smaller than ``start`` or a reducible
-    member appears.  All members but ``start`` and that one are larger
-    than ``start`` and irreducible, and are filed in ``ahead``: a search
-    from one would abort too.  That one is not filed: it is smaller than
-    ``start`` or reducible, so no search ever starts from it.
+    member appears, before reading that member's table.  All members but
+    ``start`` and that one are larger than ``start`` and irreducible, and
+    their type masks are filed in ``ahead``: a search from one would abort
+    too.  That one is not filed: it is smaller than ``start`` or
+    reducible, so no search ever starts from it.
     """
     def stop(s):
-        return s < start or moves._reducible_state(s)
+        return s < start or moves._reducible_state(s, table_of)
 
-    local, found, limit = moves._explore(start, moves._neighbors, stop, max_members, max_steps)
+    local, found, limit = moves._explore(
+        start, lambda s: moves._neighbors(s, table_of), stop, max_members, max_steps
+    )
     if limit is not None:
-        raise moves._truncation(
-            f"3-class of {moves._decode(start)}", limit, max_members, max_steps
-        )
+        raise moves._truncation(f"3-class of {moves._decode(start)}", limit, max_members, max_steps)
     for word, types in local - {start, found}:
-        ahead.setdefault(word, set()).add(types)
+        ahead.setdefault(word, set()).add(masks[types])
     return local if found is None else None
 
 

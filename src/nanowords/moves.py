@@ -48,9 +48,10 @@ The move structure is computed once per Gauss word, not per state:
 word, every positional H3-family match with its swapped word, the
 H1/H2/H2a removal patterns and the reversed word, each successor word
 in normal form with its letter map.  A search visits many type
-assignments of few words, so the tables are cached; each per-state step
-(``_neighbors``, ``_reducible_state``) looks its word's table up once and
-then only checks the types each match needs and permutes them.
+assignments of few words, so tables are kept: a bounded cache serves single
+searches and ``identify``, and a walk owns its tables (``_Tables``).  Each
+per-state step (``_neighbors``, ``_reducible_state``) looks its word's table
+up once, through ``table_of``, then only checks and permutes the types.
 """
 
 from __future__ import annotations
@@ -282,6 +283,13 @@ def _word_table(word: tuple[int, ...]) -> _WordTable:
     return _WordTable(h1, tuple(h2), shift, tuple(h3), _relabel(word[::-1]))
 
 
+class _Tables(dict):
+    """Word tables built uncached on first use; their owner drops them."""
+    def __missing__(self, word):
+        table = self[word] = _word_table.__wrapped__(word)
+        return table
+
+
 def _transform_state(state: State, kind: str) -> State:
     """:func:`words.transform` on an encoded state.  Each kind maps shift
     and 3-moves to shift and 3-moves, so it maps 3-classes to 3-classes."""
@@ -302,9 +310,9 @@ def _removable_letters(state: State) -> list[tuple[int, ...]]:
     return [*table.h1, *((x, y) for x, y in table.h2 if types[x] != types[y])]
 
 
-def _reducible_state(state: State) -> bool:
+def _reducible_state(state: State, table_of=_word_table) -> bool:
     word, types = state
-    table = _word_table(word)
+    table = table_of(word)
     for x, y in table.h2:
         if types[x] != types[y]:
             return True
@@ -356,11 +364,11 @@ def _h3_matches(state: State) -> list[tuple[str, str, int, int, int]]:
     return [m[4] for m in _h3_applicable(_word_table(state[0]), state[1])]
 
 
-def _neighbors(state: State) -> list[State]:
+def _neighbors(state: State, table_of=_word_table) -> list[State]:
     word, types = state
     if not word:
         return []
-    table = _word_table(word)
+    table = table_of(word)
     shifted, src, flipped = table.shift
     new_types = list(map(types.__getitem__, src))
     new_types[flipped] ^= 1

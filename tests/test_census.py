@@ -100,6 +100,31 @@ class TestCandidates:
             for s, cls in cz._survivors(n, mv.DEFAULT_MAX_MEMBERS, mv.DEFAULT_MAX_STEPS):
                 assert cls == classes[mv._decode(s)], mv._decode(s)
 
+    def test_walk_builds_each_table_once(self, monkeypatch):
+        # the walk owns its word tables and leaves the bounded cache alone
+        built = []
+        build = mv._word_table.__wrapped__
+        monkeypatch.setattr(mv._word_table, "__wrapped__", lambda word: built.append(word) or build(word))
+        before = mv._word_table.cache_info()
+        assert list(cz._survivors(5, mv.DEFAULT_MAX_MEMBERS, mv.DEFAULT_MAX_STEPS))
+        assert built and len(built) == len(set(built))
+        assert mv._word_table.cache_info() == before
+
+    def test_walk_classes_disjoint(self, walks):
+        # each class is yielded once, from its minimal member
+        for n, (survivors, _) in walks.items():
+            walked = set()
+            for s, cls in survivors:
+                assert min(cls) == s and walked.isdisjoint(cls), (n, s)
+                walked |= cls
+
+    def test_pinned_walk_at_six_crossings(self, walks):
+        survivors, _ = walks[6]
+        lines = "\n".join(f"{s!r} {len(cls)}" for s, cls in survivors)
+        assert hashlib.sha256(lines.encode()).hexdigest() == (
+            "157d665ecaf168d8af7c809aa891659faa78e3e387c079cdfe736bfafe70941f"
+        )
+
 
 class TestIdentify:
     def test_examples(self, census4):
