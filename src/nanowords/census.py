@@ -18,7 +18,8 @@ irreducible 3-classes is unproven).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import invariants, moves, words
@@ -215,10 +216,11 @@ class CensusTable:
     """Records and unresolved groups, with lookups by id, key and word.
 
     Fill the lists through :meth:`add`, which indexes what it appends.
-    Records are indexed by list position, so a record replaced in place
-    by one with the same id and key (as the symmetry stage does) is what
-    the lookups return.  A separation key names at most one entry: a
-    group wins over a record, and a later group over an earlier one.
+    A record is final when filed, but for its ``symmetry``, which the
+    symmetry stage sets in place on the indexed object.  A separation
+    key names at most one entry: a group wins over a record, and a later
+    group over an earlier one.  A word filed in several places keeps the
+    key of the first.
     """
 
     max_crossings: int = -1
@@ -227,34 +229,30 @@ class CensusTable:
     limits: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self._record_at: dict[str, int] = {}
-        # key -> record id or unresolved group
-        self._entry_at: dict[tuple, str | UnresolvedGroup] = {}
+        self._record_of: dict[str, StringRecord] = {}
+        self._entry_at: dict[tuple, StringRecord | UnresolvedGroup] = {}
         self._word_key: dict[Nanoword, tuple] = {}
-        self._index(0, 0)
+        self._index(self.records, self.unresolved)
 
     def add(self, records=(), unresolved=()) -> None:
         """Append records and unresolved groups, keeping the indexes in step."""
-        start = len(self.records), len(self.unresolved)
-        self.records.extend(records)
-        self.unresolved.extend(unresolved)
-        self._index(*start)
+        records, unresolved = list(records), list(unresolved)
+        self.records += records
+        self.unresolved += unresolved
+        self._index(records, unresolved)
 
-    def _index(self, first_record: int, first_group: int) -> None:
-        # A word in several places has one key, so the first entry stands.
-        for k in range(first_record, len(self.records)):
-            r = self.records[k]
-            self._record_at.setdefault(r.id, k)
-            self._entry_at.setdefault(r.key, r.id)
+    def _index(self, records, unresolved) -> None:
+        for r in records:
+            self._record_of.setdefault(r.id, r)
+            self._entry_at.setdefault(r.key, r)
             self._word_key.setdefault(r.nanoword, r.key)
-        for k in range(first_group, len(self.unresolved)):
-            g = self.unresolved[k]
+        for g in unresolved:
             self._entry_at[g.key] = g
             for m in g.members:
                 self._word_key.setdefault(m, g.key)
 
     def by_id(self, rid: str) -> StringRecord:
-        return self.records[self._record_at[rid]]
+        return self._record_of[rid]
 
     def by_phi(self, phi: tuple[int, ...]) -> list[StringRecord]:
         return [r for r in self.records if r.phi == phi]
@@ -264,8 +262,7 @@ class CensusTable:
 
     def entry(self, key: tuple) -> StringRecord | UnresolvedGroup | None:
         """The record or unresolved group filed under a separation key."""
-        hit = self._entry_at.get(key)
-        return self.by_id(hit) if isinstance(hit, str) else hit
+        return self._entry_at.get(key)
 
     def entry_of(self, nw, max_members=DEFAULT_MAX_MEMBERS, max_steps=DEFAULT_MAX_STEPS):
         """The entry for an irreducible ``nw``'s key, stored or computed."""
@@ -276,12 +273,6 @@ class CensusTable:
         """phi of ``nw``: stored for a census word, computed otherwise."""
         key = self._word_key.get(nw)
         return invariants.string_phi(nw).phi if key is None else key[1]
-
-    def counts(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for r in self.records:
-            out[r.crossings] = out.get(r.crossings, 0) + 1
-        return out
 
 
 def _record_id(n: int, k: int) -> str:
@@ -308,7 +299,7 @@ class Separation(NamedTuple):
     """What :func:`separate` computes for one irreducible word."""
 
     key: tuple
-    stats: invariants.LetterStats
+    u: invariants.UPolynomial
     display: tuple[int, ...]
     covers: dict[int, Nanoword | None]
 
@@ -350,7 +341,7 @@ def separate(
     seq = seq or [cf.phi]
     while len(seq) > 1 and seq[-1] == seq[-2]:
         seq.pop()
-    return Separation((cf.rho, cf.phi, tuple(seq)), stats, display, covers)
+    return Separation((cf.rho, cf.phi, tuple(seq)), invariants.u_of(stats), display, covers)
 
 
 def lookup(
@@ -419,14 +410,13 @@ def distinguish(
     for nw in cands:
         buckets.setdefault(seps[nw].key, []).append(nw)
 
-    records: list[StringRecord] = []
+    lone: list[Nanoword] = []
     unresolved: list[UnresolvedGroup] = []
     for key in sorted(buckets):
         group = sorted(buckets[key])
         old = prior.entry(key)
         if old is None and len(group) == 1:
-            nw = group[0]
-            records.append(_make_record(nw, seps[nw], prior, max_members, max_steps))
+            lone.append(group[0])
             continue
         if old is not None and warn:
             warn(
@@ -445,20 +435,20 @@ def distinguish(
         display = seps[first].display if first in seps else old.phi_display
         unresolved.append(UnresolvedGroup(members, *key, display))
 
-    records.sort(key=lambda r: r.nanoword)
     records = [
-        replace(r, id=_record_id(crossings, k + 1)) for k, r in enumerate(records)
+        _make_record(_record_id(crossings, k), nw, seps[nw], prior, max_members, max_steps)
+        for k, nw in enumerate(sorted(lone), 1)
     ]
     unresolved.sort(key=lambda g: (g.rho, g.phi, g.members))
     return records, unresolved
 
 
-def _make_record(nw, sep, prior, max_members, max_steps):
+def _make_record(rid, nw, sep, prior, max_members, max_steps):
     coverings = {
         r: "self" if red is None else entry_name(prior.entry_of(red, max_members, max_steps))
         for r, red in sep.covers.items()
     }
-    return StringRecord("?", nw, invariants.u_of(sep.stats), *sep.key, sep.display, coverings)
+    return StringRecord(rid, nw, sep.u, *sep.key, sep.display, coverings)
 
 
 def build_census(
@@ -481,70 +471,55 @@ def build_census(
         )
         census.add(records, unresolved)
     # After the last depth: a later group may take over an earlier record's key.
-    for i, rec in enumerate(census.records):
-        census.records[i] = symmetry_classify(rec, census, images[rec.nanoword])
+    for rec in census.records:
+        rec.symmetry = symmetry_classify(rec, census, images[rec.nanoword])
     return census
+
+
+# The symmetry type of each set of operations fixing a homotopy class.
+# Two fixed operations force the third, so no other set occurs.
+_SYM_TYPES = {
+    frozenset(words.TRANSFORM_KINDS): ALL_SYMMETRIC,
+    frozenset({words.MIRROR}): MIRROR_ONLY,
+    frozenset({words.INVERSE}): INVERSE_ONLY,
+    frozenset({words.MIRROR_INVERSE}): MIRROR_INVERSE_ONLY,
+    frozenset(): CHIRAL,
+}
 
 
 def symmetry_classify(
     record: StringRecord,
     census: CensusTable,
     images: tuple[Nanoword, ...],
-) -> StringRecord:
-    """Fill in mirror/inverse ids and the five-way symmetry type.
+) -> Symmetry | None:
+    """The record's mirror, inverse and mirror-inverse ids and its type.
 
     ``images`` are the minimal members of the 3-classes of the record's
     mirror, inverse and mirror-inverse, which :func:`_image_minima` finds
     among the classes of the same walk; each is a candidate of the
     record's crossing number, so its entry is found by its stored key.
-    Types: a if all three operations fix the homotopy class, i/+/- if
-    only inversion / reflection / inverted reflection does, c if none.
-    Two fixed operations force the third, so those are the only cases.
-    If an image's entry is not a record (it may be an unresolved group)
-    the symmetry is left unset.
+    The type is read from ``_SYM_TYPES`` by the operations that give
+    back the record's own id; two of them raise ``AssertionError``.  If
+    an image's entry is not a record (it may be an unresolved group) the
+    symmetry is unset: None.
     """
-    ids = {}
-    for kind, image in zip(words.TRANSFORM_KINDS, images):
+    ids = []
+    for image in images:
         entry = census.entry_of(image)
         if not isinstance(entry, StringRecord):
-            return record
-        ids[kind] = entry.id
-    fixed = {k for k, v in ids.items() if v == record.id}
-    if len(fixed) == 3:
-        sym = ALL_SYMMETRIC
-    elif fixed == {words.MIRROR}:
-        sym = MIRROR_ONLY
-    elif fixed == {words.INVERSE}:
-        sym = INVERSE_ONLY
-    elif fixed == {words.MIRROR_INVERSE}:
-        sym = MIRROR_INVERSE_ONLY
-    elif not fixed:
-        sym = CHIRAL
-    else:
+            return None
+        ids.append(entry.id)
+    fixed = frozenset(k for k, rid in zip(words.TRANSFORM_KINDS, ids) if rid == record.id)
+    if fixed not in _SYM_TYPES:
         raise AssertionError(
             f"two operations fix {record.id} but the third does not: {ids}"
         )
-    return replace(
-        record,
-        symmetry=Symmetry(
-            mirror_id=ids[words.MIRROR],
-            inverse_id=ids[words.INVERSE],
-            mirror_inverse_id=ids[words.MIRROR_INVERSE],
-            sym_type=sym,
-        ),
-    )
+    return Symmetry(*ids, _SYM_TYPES[fixed])
 
 
 # ---------------------------------------------------------------------------
 # Table assembly.
 # ---------------------------------------------------------------------------
-
-
-def _id_key(rid: str) -> tuple[int, int]:
-    if rid == "0":
-        return (0, 1)
-    n, k = rid.split(".")
-    return (int(n), int(k))
 
 
 def table1(census: CensusTable) -> list[dict]:
@@ -564,15 +539,16 @@ def table1(census: CensusTable) -> list[dict]:
 
 
 def table2(census: CensusTable) -> dict[int, int]:
-    counts = census.counts()
+    counts = Counter(r.crossings for r in census.records)
     return {n: counts.get(n, 0) for n in range(census.max_crossings + 1)}
 
 
 def table3(census: CensusTable) -> list[dict]:
-    """Unoriented classes: lowest id representative plus its orbit ids."""
+    """Unoriented classes: lowest id representative plus its orbit ids.
+    Records are stored in id order, so an orbit's first is its lowest."""
     out = []
     done: set[str] = set()
-    for rec in sorted(census.records, key=lambda r: _id_key(r.id)):
+    for rec in census.records:
         if rec.id in done or rec.symmetry is None:
             continue
         s = rec.symmetry

@@ -225,10 +225,10 @@ def cmd_invariants(args) -> int:
 def cmd_enumerate(args) -> int:
     census = obtain_census(args, args.crossings)
     rows = [
-        r for r in cz.table1(census) if r["id"] == "0" or r["id"].startswith(f"{args.crossings}.")
+        row
+        for rec, row in zip(census.records, cz.table1(census))
+        if rec.crossings == args.crossings
     ]
-    if args.crossings > 0:
-        rows = [r for r in rows if r["id"] != "0"]
     _emit_rows(rows, ["id", "nanoword", "u", "rho", "phi"], args.format, sys.stdout)
     return EXIT_OK
 

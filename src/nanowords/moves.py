@@ -45,9 +45,9 @@ reference the ``State`` successors are tested against.
 
 The move structure is computed once per Gauss word, not per state:
 ``_word_table`` finds, from the letter positions alone, the shifted
-word, every positional H3-family match with its swapped word, the
-H1/H2/H2a removal patterns and the reversed word, each successor word
-in normal form with its letter map.  A search visits many type
+word, every positional H3-family match with its swapped word and the
+H1/H2/H2a removal patterns, each successor word in normal form with its
+letter map.  A search visits many type
 assignments of few words, so tables are kept: a bounded cache serves single
 searches and ``identify``, and a walk owns its tables (``_Tables``).  Each
 per-state step (``_neighbors``, ``_reducible_state``) looks its word's table
@@ -232,14 +232,12 @@ class _WordTable:
     # positional H3-family match, by p and then by schema; it applies
     # when (types[B] != types[A]) + 2 (types[C] != types[A]) == need
     h3: tuple[tuple, ...]
-    # (word, src) of the reversed word
-    reverse: tuple
 
     # a plain slotted class: a NamedTuple costs more to define at import
-    __slots__ = ("h1", "h2", "shift", "h3", "reverse")
+    __slots__ = ("h1", "h2", "shift", "h3")
 
-    def __init__(self, h1, h2, shift, h3, reverse):
-        self.h1, self.h2, self.shift, self.h3, self.reverse = h1, h2, shift, h3, reverse
+    def __init__(self, h1, h2, shift, h3):
+        self.h1, self.h2, self.shift, self.h3 = h1, h2, shift, h3
 
 
 @functools.lru_cache(maxsize=_WORD_TABLE_SIZE)
@@ -280,7 +278,7 @@ def _word_table(word: tuple[int, ...]) -> _WordTable:
             r = b2 if o3 else c2
             match = (kind, direction, p, q, r)
             h3.append((A, B, C, need, match, *_relabel(_swap_pairs(word, p, q, r))))
-    return _WordTable(h1, tuple(h2), shift, tuple(h3), _relabel(word[::-1]))
+    return _WordTable(h1, tuple(h2), shift, tuple(h3))
 
 
 class _Tables(dict):
@@ -298,8 +296,7 @@ def _transform_state(state: State, kind: str) -> State:
         types = tuple(t ^ 1 for t in types)
     if kind == MIRROR:
         return word, types
-    reversed_word, src = _word_table(word).reverse
-    return reversed_word, tuple(map(types.__getitem__, src))
+    return _norm(word[::-1], types)
 
 
 def _removable_letters(state: State) -> list[tuple[int, ...]]:

@@ -151,6 +151,17 @@ def walks():
     return out
 
 
+def stub_record(rid):
+    return cz.StringRecord(rid, EMPTY, u_polynomial(EMPTY), 0, (), ((),), ())
+
+
+class StubCensus:
+    """Answers ``entry_of`` for the transform kinds, in their order."""
+
+    def __init__(self, entries):
+        self.entry_of = dict(zip(TRANSFORM_KINDS, entries)).__getitem__
+
+
 class TestSymmetry:
     def test_row_4_6(self, census4):
         rec = census4.by_id("4.6")
@@ -170,6 +181,39 @@ class TestSymmetry:
             "4.13",
             "i",
         )
+
+    @pytest.mark.parametrize(
+        "fixed, sym_type",
+        [
+            (TRANSFORM_KINDS, cz.ALL_SYMMETRIC),
+            ((MIRROR,), cz.MIRROR_ONLY),
+            ((INVERSE,), cz.INVERSE_ONLY),
+            ((MIRROR_INVERSE,), cz.MIRROR_INVERSE_ONLY),
+            ((), cz.CHIRAL),
+        ],
+    )
+    def test_classify_fixed_kinds(self, fixed, sym_type):
+        ids = ["5.1" if k in fixed else f"5.{i}" for i, k in enumerate(TRANSFORM_KINDS, 2)]
+        got = cz.symmetry_classify(
+            stub_record("5.1"), StubCensus(map(stub_record, ids)), TRANSFORM_KINDS
+        )
+        assert got == cz.Symmetry(*ids, sym_type)
+
+    @pytest.mark.parametrize("free", TRANSFORM_KINDS)
+    def test_classify_two_fixed_kinds_raise(self, free):
+        ids = ["5.2" if k == free else "5.1" for k in TRANSFORM_KINDS]
+        with pytest.raises(AssertionError, match="two operations fix 5.1"):
+            cz.symmetry_classify(
+                stub_record("5.1"), StubCensus(map(stub_record, ids)), TRANSFORM_KINDS
+            )
+
+    @pytest.mark.parametrize("at", range(3))
+    def test_classify_unset_by_a_group_image(self, at):
+        group = cz.UnresolvedGroup((EMPTY,), 0, (), ((),), ())
+        entries = [group if k == at else stub_record("5.1") for k in range(3)]
+        record = stub_record("5.1")
+        got = cz.symmetry_classify(record, StubCensus(entries), TRANSFORM_KINDS)
+        assert got is None and record.symmetry is None
 
     def test_image_minima_match_transformed_classes(self, walks):
         for n, (survivors, images) in walks.items():
@@ -331,6 +375,14 @@ def test_pinned_census_at_six_crossings(census6):
     )
 
 
+def test_pinned_cache_bytes_at_five_crossings(tmp_path):
+    # the cache file is byte for byte the one earlier versions wrote
+    cli.save_census(cz.build_census(5), tmp_path)
+    assert hashlib.sha256((tmp_path / "census_n5.json").read_bytes()).hexdigest() == (
+        "a8fb09687dd29175ffc928a6fdadc52bc179f5d6f4b67fa110399f8149b271dc"
+    )
+
+
 def assert_identify_idempotent(census):
     # every record outside the unresolved groups identifies as itself and
     # has its symmetry set; a group member comes back ambiguous with the
@@ -426,6 +478,20 @@ class TestIndex:
         data["version"] = 2
         path.write_text(json.dumps(data))
         assert cli.load_census(tmp_path, 5) is None
+
+    def test_group_takes_over_a_record_key(self):
+        w1, w2, w3 = map(parse_nanoword, ("ABACBC:aab", "ABACBC:abb", "ABACBC:bbb"))
+        rec = cz.StringRecord("3.1", w1, u_polynomial(w1), 0, (1,), ((1,),), (1,))
+        group = cz.UnresolvedGroup((w1, w2), 0, (1,), ((1,),), (1,))
+        other = cz.UnresolvedGroup((w1, w3), 0, (2,), ((2,),), (2,))
+        census = cz.CensusTable(3)
+        census.add([rec])
+        census.add(unresolved=[group, other])
+        assert census.entry(rec.key) is group
+        assert census.by_id("3.1") is rec
+        # w1 keeps the record's key, which now names the group
+        assert census.entry_of(w1) is group and census.phi_of(w1) == (1,)
+        assert census.entry_of(w3) is other and census.phi_of(w3) == (2,)
 
     def test_group_members_indexed(self, census5):
         for g in census5.unresolved:

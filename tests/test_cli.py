@@ -72,6 +72,14 @@ class TestEnumerateCommand:
         assert "3.1" in lines[1] and "ABACBC:aab" in lines[1]
         assert "3.2" in lines[2]
 
+    def test_zero_crossings(self, capsys, tmp_path):
+        code, out, _ = run(
+            capsys, "enumerate", "--crossings", "0", "--cache", str(tmp_path)
+        )
+        assert code == 0
+        rows = [l.split() for l in out.splitlines()[1:] if l.strip()]
+        assert [r[0] for r in rows] == ["0"]
+
     def test_two_crossings_empty(self, capsys, tmp_path):
         code, out, _ = run(
             capsys, "enumerate", "--crossings", "2", "--cache", str(tmp_path)
