@@ -17,7 +17,6 @@ irreducible 3-classes is unproven).
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -42,27 +41,31 @@ def increasing_gauss_words(n: int, skip_adjacent_doubles: bool = False):
     """
     if not 0 <= n <= 26:
         raise ValueError("n must be between 0 and 26")
-    word: list[str] = []
-    open_counts: dict[str, int] = {}
+    for word in _gauss_words(n, skip_adjacent_doubles):
+        yield "".join([_ALPHA[x] for x in word])
+
+
+def _gauss_words(n: int, skip_adjacent_doubles: bool):
+    """:func:`increasing_gauss_words` as letter-index tuples, state words."""
+    word: list[int] = []
+    opened: list[int] = []  # letters that occurred once, ascending
 
     def rec(started: int):
         if len(word) == 2 * n:
-            yield "".join(word)
+            yield tuple(word)
             return
-        choices = sorted(x for x, c in open_counts.items() if c == 1)
-        if started < n:
-            choices.append(_ALPHA[started])
-        for x in choices:
-            closing = open_counts.get(x, 0) == 1
-            if closing and skip_adjacent_doubles and word and word[-1] == x:
+        for i, x in enumerate(opened):
+            if skip_adjacent_doubles and word[-1] == x:
                 continue
-            word.append(x)
-            open_counts[x] = open_counts.get(x, 0) + 1
-            yield from rec(started + (0 if closing else 1))
+            word.append(opened.pop(i))
+            yield from rec(started)
+            opened.insert(i, word.pop())
+        if started < n:
+            word.append(started)
+            opened.append(started)
+            yield from rec(started + 1)
             word.pop()
-            open_counts[x] -= 1
-            if open_counts[x] == 0:
-                del open_counts[x]
+            opened.pop()
 
     yield from rec(0)
 
@@ -83,31 +86,27 @@ def candidates(
 def _survivors(n, max_members, max_steps):
     """Yield each candidate's ``State`` with the members of its 3-class.
 
-    Starts ascend, so one that is reducible or in ``ahead`` is no
-    candidate.  ``ahead`` holds the type masks (bit k: letter k's type)
-    that searches reached in a word, ``tables`` the walk's word tables;
-    each drops a word once the walk passes it.
+    Starts ascend: the words, and on each word the type masks, so one
+    that is reducible or in ``ahead`` is no candidate.  ``ahead`` holds
+    the masks that searches reached in a word, ``tables`` the walk's word
+    tables; each drops a word once the walk passes it.
     """
-    masks = {t: sum(x << k for k, x in enumerate(t)) for t in itertools.product((0, 1), repeat=n)}
     ahead: dict[tuple[int, ...], set[int]] = {}
     tables = moves._Tables()
     table_of = tables.__getitem__
-    for word in increasing_gauss_words(n, skip_adjacent_doubles=True):
-        # An increasing Gauss word is already in the encoded normal form:
-        # letter k is the k-th alphabet letter, and its type is bit k.
-        letters = tuple(_ALPHA.index(x) for x in word)
-        reached = ahead.setdefault(letters, set())
-        for types, mask in masks.items():
-            if mask in reached or moves._reducible_state((letters, types), table_of):
+    for word in _gauss_words(n, skip_adjacent_doubles=True):
+        reached = ahead.setdefault(word, set())
+        for mask in range(1 << n):
+            state = (word, mask)
+            if mask in reached or moves._reducible_state(state, table_of):
                 continue
-            state = (letters, types)
-            cls = _minimal_irreducible_class(state, ahead, masks, table_of, max_members, max_steps)
+            cls = _minimal_irreducible_class(state, ahead, table_of, max_members, max_steps)
             if cls is not None:
                 yield state, cls
-        del ahead[letters], tables[letters]
+        del ahead[word], tables[word]
 
 
-def _minimal_irreducible_class(start, ahead, masks, table_of, max_members, max_steps):
+def _minimal_irreducible_class(start, ahead, table_of, max_members, max_steps):
     """Guarded 3-class exploration from ``start``: the whole class, or None.
 
     Aborts as soon as a member smaller than ``start`` or a reducible
@@ -125,8 +124,8 @@ def _minimal_irreducible_class(start, ahead, masks, table_of, max_members, max_s
     )
     if limit is not None:
         raise moves._truncation(f"3-class of {moves._decode(start)}", limit, max_members, max_steps)
-    for word, types in local - {start, found}:
-        ahead.setdefault(word, set()).add(masks[types])
+    for word, mask in local - {start, found}:
+        ahead.setdefault(word, set()).add(mask)
     return local if found is None else None
 
 

@@ -46,12 +46,12 @@ reference the ``State`` successors are tested against.
 The move structure is computed once per Gauss word, not per state:
 ``_word_table`` finds, from the letter positions alone, the shifted
 word, every positional H3-family match with its swapped word and the
-H1/H2/H2a removal patterns, each successor word in normal form with its
-letter map.  A search visits many type
-assignments of few words, so tables are kept: a bounded cache serves single
-searches and ``identify``, and a walk owns its tables (``_Tables``).  Each
-per-state step (``_neighbors``, ``_reducible_state``) looks its word's table
-up once, through ``table_of``, then only checks and permutes the types.
+H1/H2/H2a removal patterns, each as a few type masks.  A search visits
+many type assignments of few words, so tables are kept: a bounded cache
+serves single searches and ``identify``, and a walk owns its tables
+(``_Tables``).  Each per-state step (``_neighbors``, ``_reducible_state``)
+looks its word's table up once, through ``table_of``, then only tests and
+moves bits of the state's type mask; nothing is sized by 2^n.
 """
 
 from __future__ import annotations
@@ -143,13 +143,23 @@ class ThreeClass:
 # ---------------------------------------------------------------------------
 # Internal state representation.
 #
-# A state is (word, types): the word as a tuple of letter indices in
+# A state is (word, mask): the word as a tuple of letter indices in
 # increasing normal form (letter k first occurs before letter k+1), the
-# types as a tuple indexed by letter with 0 = a, 1 = b.  Tuple comparison
-# on states is exactly the alphabetical order on nanowords.
+# types as a mask whose bit n-1-k is letter k's type, 0 = a, 1 = b, for n
+# letters.  Letter 0 holds the highest bit, so tuple comparison on states
+# is exactly the alphabetical order on nanowords.
+#
+# A successor's mask is (m & F) | (m & G) << 1 | (m & S) >> d for masks
+# F, G, S and a shift d of its word table, because each move renames
+# letters in one of two shapes.  A shift rotates a prefix: letter 0's
+# second occurrence becomes its first, after letters 1..k, so new letter
+# j < k is old letter j + 1 (G holds 1..k), new letter k is old letter 0
+# (S holds it, d = k) and the rest stay (F); the rotated letter's bit also
+# flips.  An H3-family swap moves no first occurrence but the two of pair
+# 1, letters word[p] and word[p] + 1, so it exchanges just those (d = 1).
 # ---------------------------------------------------------------------------
 
-State = tuple[tuple[int, ...], tuple[int, ...]]
+State = tuple[tuple[int, ...], int]
 
 
 def _relabel(seq) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -161,20 +171,28 @@ def _relabel(seq) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def _norm(word_seq, type_of) -> State:
+    """Normal form of a letter sequence, ``type_of[x]`` old letter x's type."""
     word, src = _relabel(word_seq)
-    return word, tuple(type_of[x] for x in src)
+    mask = 0
+    for x in src:
+        mask = mask << 1 | type_of[x]
+    return word, mask
+
+
+def _types(state: State) -> list[int]:
+    """The type of each letter of a state, by letter."""
+    word, mask = state
+    return [mask >> k & 1 for k in range(len(word) // 2 - 1, -1, -1)]
 
 
 def _encode(nw: Nanoword) -> State:
-    type_of = {x: 0 if t == TYPE_A else 1 for x, t in nw.type_map.items()}
-    return _norm(nw.word, type_of)
+    return _norm(nw.word, {x: t == TYPE_B for x, t in nw.type_map.items()})
 
 
 def _decode(state: State) -> Nanoword:
-    word, types = state
     return Nanoword(
-        "".join(_ALPHA[x] for x in word),
-        "".join(TYPE_A if t == 0 else TYPE_B for t in types),
+        "".join(_ALPHA[x] for x in state[0]),
+        "".join(TYPE_B if t else TYPE_A for t in _types(state)),
     )
 
 
@@ -214,23 +232,19 @@ _WORD_TABLE_SIZE = 512
 
 
 class _WordTable:
-    """The move structure of one Gauss word, before any type is known.
-
-    A successor word is stored in normal form with its letter map
-    ``src`` (see :func:`_relabel`), so a state's successor types are
-    ``tuple(map(types.__getitem__, src))``.
-    """
+    """The move structure of one Gauss word as masks (see ``State``)."""
 
     # letter sets of H1 removals, by position
     h1: tuple[tuple[int], ...]
-    # (x, y) of H2/H2a removals, by x; each needs types[x] != types[y]
-    h2: tuple[tuple[int, int], ...]
-    # (word, src, flipped) after a shift, ``flipped`` the rotated letter's
-    # new index; None on the empty word
+    # (x, y, pm) of H2/H2a removals, by x, pm the bits of x and y; each
+    # needs x and y of opposite types: 0 < m & pm < pm
+    h2: tuple[tuple[int, int, int], ...]
+    # (word, F, G, S, d) after a shift, which takes ``m & S ^ S`` for
+    # ``m & S`` to flip the rotated letter; None on the empty word
     shift: tuple | None
-    # (A, B, C, need, (kind, direction, p, q, r), word, src) for each
-    # positional H3-family match, by p and then by schema; it applies
-    # when (types[B] != types[A]) + 2 (types[C] != types[A]) == need
+    # (M, p0, p1, (kind, direction, p, q, r), word, F, G, S, d) for each
+    # positional H3-family match, by p and then by schema; it applies when
+    # the bits M of A, B, C read p0 (the types it needs, A = a) or M ^ p0
     h3: tuple[tuple, ...]
 
     # a plain slotted class: a NamedTuple costs more to define at import
@@ -243,18 +257,20 @@ class _WordTable:
 @functools.lru_cache(maxsize=_WORD_TABLE_SIZE)
 def _word_table(word: tuple[int, ...]) -> _WordTable:
     pos = _positions(word)
-    L = len(word)
+    L, n = len(word), len(pos)
+    bit, full = [1 << n - 1 - x for x in range(n)], (1 << n) - 1
     h1 = tuple((word[r],) for r in range(L - 1) if word[r] == word[r + 1])
     h2 = []
     for x, (i, j) in enumerate(pos):
         # i < j, so i + 1 is inside the word
         y = word[i + 1]
         if y != x and pos[y][0] == i + 1 and pos[y][1] in (j - 1, j + 1):
-            h2.append((x, y))
+            h2.append((x, y, bit[x] | bit[y]))
     shift = None
     if word:
         shifted, src = _relabel(word[1:] + word[:1])
-        shift = (shifted, src, src.index(word[0]))
+        k = src.index(0)
+        shift = (shifted, bit[k] - 1, bit[0] - bit[k], bit[0], k)
     h3 = []
     for p in range(L - 1):
         u, v = word[p], word[p + 1]
@@ -276,8 +292,10 @@ def _word_table(word: tuple[int, ...]) -> _WordTable:
             if c2 - b2 != (1 if o3 else -1):
                 continue
             r = b2 if o3 else c2
-            match = (kind, direction, p, q, r)
-            h3.append((A, B, C, need, match, *_relabel(_swap_pairs(word, p, q, r))))
+            M = bit[A] | bit[B] | bit[C]
+            p0 = (need & 1) * bit[B] | (need >> 1) * bit[C]
+            swapped = _relabel(_swap_pairs(word, p, q, r))[0]
+            h3.append((M, p0, M ^ p0, (kind, direction, p, q, r), swapped, full ^ bit[u] ^ bit[v], bit[v], bit[u], 1))
     return _WordTable(h1, tuple(h2), shift, tuple(h3))
 
 
@@ -291,34 +309,33 @@ class _Tables(dict):
 def _transform_state(state: State, kind: str) -> State:
     """:func:`words.transform` on an encoded state.  Each kind maps shift
     and 3-moves to shift and 3-moves, so it maps 3-classes to 3-classes."""
-    word, types = state
+    word, mask = state
     if kind != MIRROR_INVERSE:
-        types = tuple(t ^ 1 for t in types)
+        mask ^= (1 << len(word) // 2) - 1
     if kind == MIRROR:
-        return word, types
-    return _norm(word[::-1], types)
+        return word, mask
+    return _norm(word[::-1], _types((word, mask)))
 
 
 def _removable_letters(state: State) -> list[tuple[int, ...]]:
     """Letter sets an H1, H2 or H2a removal deletes, in the order of
     :func:`_removal_instances`: H1 by position, then by first letter."""
-    word, types = state
+    word, m = state
     table = _word_table(word)
-    return [*table.h1, *((x, y) for x, y in table.h2 if types[x] != types[y])]
+    return [*table.h1, *((x, y) for x, y, pm in table.h2 if 0 < m & pm < pm)]
 
 
 def _reducible_state(state: State, table_of=_word_table) -> bool:
-    word, types = state
+    word, m = state
     table = table_of(word)
-    for x, y in table.h2:
-        if types[x] != types[y]:
+    for _, _, pm in table.h2:
+        if 0 < m & pm < pm:
             return True
     return bool(table.h1)
 
 
 def _without(state: State, letters) -> State:
-    word, types = state
-    return _norm([x for x in word if x not in letters], types)
+    return _norm([x for x in state[0] if x not in letters], _types(state))
 
 
 def _removals(state: State) -> list[State]:
@@ -328,50 +345,41 @@ def _removals(state: State) -> list[State]:
 def _insertions(state: State, max_letters: int) -> list[State]:
     """Fresh-letter H1, H2, H2a insertions up to ``max_letters`` letters,
     in the order of :func:`_insertion_instances`."""
-    word, types = state
+    word, types = state[0], _types(state)
     n, L = len(types), len(word)
     out = []
     if n + 1 <= max_letters:
         for u in range(L + 1):
             for t in (0, 1):
-                out.append((word[:u] + (n, n) + word[u:], types + (t,)))
+                out.append((word[:u] + (n, n) + word[u:], types + [t]))
     if n + 2 <= max_letters:
         x, y = n, n + 1
         for u in range(L + 1):
             for v in range(u, L + 1):
                 head = word[:u] + (x, y) + word[u:v]
                 for t in (0, 1):
-                    new_types = types + (t, 1 - t)
+                    new_types = types + [t, 1 - t]
                     out.append((head + (y, x) + word[v:], new_types))
                     out.append((head + (x, y) + word[v:], new_types))
     return [_norm(w, t) for w, t in out]
 
 
-def _h3_applicable(table: _WordTable, types: tuple[int, ...]) -> list[tuple]:
-    """The H3-family entries of a word table that the types meet."""
-    out = []
-    for m in table.h3:
-        tA = types[m[0]]
-        if (types[m[1]] ^ tA) + 2 * (types[m[2]] ^ tA) == m[3]:
-            out.append(m)
-    return out
-
-
 def _h3_matches(state: State) -> list[tuple[str, str, int, int, int]]:
-    return [m[4] for m in _h3_applicable(_word_table(state[0]), state[1])]
+    word, m = state
+    return [e[3] for e in _word_table(word).h3 if m & e[0] in (e[1], e[2])]
 
 
 def _neighbors(state: State, table_of=_word_table) -> list[State]:
-    word, types = state
+    word, m = state
     if not word:
         return []
     table = table_of(word)
-    shifted, src, flipped = table.shift
-    new_types = list(map(types.__getitem__, src))
-    new_types[flipped] ^= 1
-    return [(shifted, tuple(new_types))] + [
-        (w, tuple(map(types.__getitem__, src))) for *_, w, src in _h3_applicable(table, types)
-    ]
+    w, F, G, S, d = table.shift
+    out = [(w, (m & F) | (m & G) << 1 | (m & S ^ S) >> d)]
+    for M, p0, p1, _, w, F, G, S, d in table.h3:
+        if m & M in (p0, p1):
+            out.append((w, (m & F) | (m & G) << 1 | (m & S) >> d))
+    return out
 
 
 def _escape_successors(state: State, max_letters: int) -> list[State]:
@@ -681,12 +689,12 @@ def reduce_to_irreducible(
 def _escape_with_insertions(start, budget, max_members, max_steps):
     # Full move graph (including insertions) bounded by letter budget,
     # hunting for any word with fewer letters than the start.
-    n = len(start[1])
-    max_letters = min(n + budget, MAX_LETTERS)
+    L = len(start[0])
+    max_letters = min(L // 2 + budget, MAX_LETTERS)
     _, found, limit = _explore(
         start,
         lambda s: _escape_successors(s, max_letters),
-        lambda s: len(s[1]) < n,
+        lambda s: len(s[0]) < L,
         max_members,
         max_steps,
     )

@@ -20,6 +20,7 @@ from functools import cached_property
 
 TYPE_A = "a"
 TYPE_B = "b"
+_TYPE_CHARS = frozenset((TYPE_A, TYPE_B))
 
 EMPTY_TEXT = "0"
 
@@ -60,19 +61,23 @@ class Nanoword:
     types: str = ""
 
     def __post_init__(self):
-        letters = sorted(set(self.word))
-        if len(self.word) != 2 * len(letters) or len(self.types) != len(letters):
-            raise NanowordError(
-                f"bad arity: word {self.word!r} with types {self.types!r}"
-            )
-        for x in letters:
-            if not ("A" <= x <= "Z"):
-                raise NanowordError(f"letter {x!r} is not an uppercase letter")
-            if self.word.count(x) != 2:
-                raise NanowordError(f"letter {x!r} occurs {self.word.count(x)} times")
-        for t in self.types:
-            if t not in (TYPE_A, TYPE_B):
-                raise NanowordError(f"bad type character {t!r}")
+        word, types = self.word, self.types
+        letters = sorted(set(word))
+        if len(word) != 2 * len(letters) or len(types) != len(letters):
+            raise NanowordError(f"bad arity: word {word!r} with types {types!r}")
+        # One counting pass: sorted, the word pairs off exactly when every
+        # letter occurs twice; only a failing word is searched letter by letter.
+        pairs = sorted(word)
+        if pairs[::2] != pairs[1::2] or word and not "A" <= pairs[0] <= pairs[-1] <= "Z":
+            for x in letters:
+                if not ("A" <= x <= "Z"):
+                    raise NanowordError(f"letter {x!r} is not an uppercase letter")
+                if word.count(x) != 2:
+                    raise NanowordError(f"letter {x!r} occurs {word.count(x)} times")
+        if not _TYPE_CHARS.issuperset(types):
+            for t in types:
+                if t not in (TYPE_A, TYPE_B):
+                    raise NanowordError(f"bad type character {t!r}")
 
     @cached_property
     def letters(self) -> tuple[str, ...]:

@@ -8,7 +8,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from nanowords import census as cz
-from nanowords.words import Nanoword, normalize_increasing
+from nanowords.words import _ALPHA, Nanoword, normalize_increasing
 
 
 @pytest.fixture(scope="session")
@@ -40,3 +40,10 @@ def random_nanoword(rng: random.Random, n: int) -> Nanoword:
     types = "".join(rng.choice("ab") for _ in range(n))
     nw, _ = normalize_increasing(Nanoword("".join(symbols), types))
     return nw
+
+
+def random_renaming(rng: random.Random, nw: Nanoword) -> Nanoword:
+    """``nw`` with its letters renamed by a random injection into A-Z."""
+    rename = dict(zip(nw.letters, rng.sample(_ALPHA, nw.crossings)))
+    types = dict(zip(map(rename.get, nw.letters), nw.types))
+    return Nanoword("".join(map(rename.get, nw.word)), "".join(types[x] for x in sorted(types)))

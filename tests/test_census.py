@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import time
 
 import pytest
 from hypothesis import assume, given, settings
@@ -23,6 +24,7 @@ from nanowords.words import (
 )
 
 import golden
+from conftest import random_renaming
 from test_words import nanowords
 
 
@@ -120,9 +122,9 @@ class TestCandidates:
 
     def test_pinned_walk_at_six_crossings(self, walks):
         survivors, _ = walks[6]
-        lines = "\n".join(f"{s!r} {len(cls)}" for s, cls in survivors)
+        lines = "\n".join(f"{mv._decode(s)} {len(cls)}" for s, cls in survivors)
         assert hashlib.sha256(lines.encode()).hexdigest() == (
-            "157d665ecaf168d8af7c809aa891659faa78e3e387c079cdfe736bfafe70941f"
+            "c442ed53892ae09868ecfa538b47842fc51020052b8ef3ba424edb61688554aa"
         )
 
 
@@ -134,6 +136,24 @@ class TestIdentify:
 
     def test_unknown_for_bigger_strings(self, census4):
         assert cz.identify(parse_nanoword("ABACBDEDCE:baabb"), census4) == "unknown"
+
+    def test_long_disguises_of_census5_records(self, census5):
+        # 8 H2/H2a insertions, shift rotations and a renaming give 21
+        # letters: nothing on the way may be sized by the 2^21 type masks
+        rng = random.Random(5)
+        records = [r for r in census5.records if r.crossings == 5]
+        start = time.process_time()
+        for rec in rng.sample(records, 10):
+            nw = rec.nanoword
+            for _ in range(8):
+                found = mv.applicable_moves(nw, {"H2", "H2a"}, allow_insertions=True)
+                nw = mv.apply_move(nw, rng.choice([m for m in found if m.direction == "insert"]))
+                for _ in range(rng.randrange(len(nw.word))):
+                    nw = mv.shift_rotate(nw)
+            nw = random_renaming(rng, nw)
+            assert nw.crossings == 21
+            assert cz.identify(nw, census5) == rec.id, nw
+        assert time.process_time() - start < 1.0
 
     def test_ambiguous_against_census5(self, census5):
         name = cz.identify(parse_nanoword("ABABCDCEDE:aaaba"), census5)

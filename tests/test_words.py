@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -56,6 +57,25 @@ class TestParseFormat:
     def test_malformed(self, text):
         with pytest.raises(NanowordError):
             parse_nanoword(text)
+
+    @pytest.mark.parametrize(
+        "word, types, message",
+        [
+            ("ABAB", "a", "bad arity"),
+            ("ABBB", "ab", "letter 'A' occurs 1 times"),
+            ("AAAB", "ab", "letter 'A' occurs 3 times"),
+            ("AAAb", "ab", "letter 'A' occurs 3 times"),
+            ("aabb", "ab", "letter 'a' is not an uppercase letter"),
+            ("1A1A", "ab", "letter '1' is not an uppercase letter"),
+            ("ABAB", "ac", "bad type character 'c'"),
+            ("ABAB", "xc", "bad type character 'x'"),
+        ],
+    )
+    def test_validation_names_the_first_fault(self, word, types, message):
+        # faults are reported in the order arity, letters alphabetically
+        # (case before count), then types
+        with pytest.raises(NanowordError, match=re.escape(message)):
+            Nanoword(word, types)
 
     def test_format_types_in_letter_order(self):
         nw = Nanoword("ABCBAC", "aab")
