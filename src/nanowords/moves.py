@@ -43,15 +43,16 @@ naming the limit and its value.  The public string-level API
 (``applicable_moves``/``apply_move``) validates outside input and is the
 reference the ``State`` successors are tested against.
 
-The move structure is computed once per Gauss word, not per state:
-``_word_table`` finds, from the letter positions alone, the shifted
-word, every positional H3-family match with its swapped word and the
-H1/H2/H2a removal patterns, each as a few type masks.  A search visits
-many type assignments of few words, so tables are kept: a bounded cache
-serves single searches and ``identify``, and a walk owns its tables
-(``_Tables``).  Each per-state step (``_neighbors``, ``_reducible_state``)
-looks its word's table up once, through ``table_of``, then only tests and
-moves bits of the state's type mask; nothing is sized by 2^n.
+The move structure is computed once per Gauss word, not per state, as a
+few type masks per pattern.  A reducibility test reads a word's H1/H2/H2a
+patterns (``_removal_table``); expanding a state reads its whole table
+(``_word_table``), which adds the shifted word and each H3-family match
+with its swapped word.  Tables are kept, as a search visits many type
+assignments of few words: a bounded cache per part serves single searches
+and ``identify``, and a walk owns its whole tables (``_Tables``).  A
+per-state step (``_neighbors``, ``_reducible_state``) looks its word's
+table up once, through ``table_of``, then only tests and moves bits of
+the state's type mask; nothing is sized by 2^n.
 """
 
 from __future__ import annotations
@@ -225,20 +226,39 @@ _H3_RULES = {
     False: ((0, 0, H3, 0), (1, 0, H3A, 1), (1, 1, H3B, 2), (0, 1, H3C, 3)),
 }
 
-# Gauss words whose tables are kept.  Bounded because ``identify`` may
-# serve queries for the life of a process; a 3-class search revisits few
-# words many times, so a small cache keeps nearly every hit.
+# Gauss words whose tables are kept, in each cache.  Bounded because
+# ``identify`` may serve queries for the life of a process; a search
+# revisits few words many times.  A reduction only tests most of its
+# words, so their removal tables cannot evict the words it expands.
 _WORD_TABLE_SIZE = 512
 
 
-class _WordTable:
-    """The move structure of one Gauss word as masks (see ``State``)."""
+class _Removals:
+    """The removal patterns of one Gauss word as masks (see ``State``)."""
 
     # letter sets of H1 removals, by position
     h1: tuple[tuple[int], ...]
     # (x, y, pm) of H2/H2a removals, by x, pm the bits of x and y; each
     # needs x and y of opposite types: 0 < m & pm < pm
     h2: tuple[tuple[int, int, int], ...]
+
+    # plain slotted classes: a NamedTuple costs more to define at import
+    __slots__ = ("h1", "h2")
+
+    def __init__(self, word, pos, bit):
+        self.h1 = tuple((word[r],) for r in range(len(word) - 1) if word[r] == word[r + 1])
+        h2 = []
+        for x, (i, j) in enumerate(pos):
+            # i < j, so i + 1 is inside the word
+            y = word[i + 1]
+            if y != x and pos[y][0] == i + 1 and pos[y][1] in (j - 1, j + 1):
+                h2.append((x, y, bit[x] | bit[y]))
+        self.h2 = tuple(h2)
+
+
+class _WordTable(_Removals):
+    """The removal patterns and the moves of one Gauss word as masks."""
+
     # (word, F, G, S, d) after a shift, which takes ``m & S ^ S`` for
     # ``m & S`` to flip the rotated letter; None on the empty word
     shift: tuple | None
@@ -246,12 +266,17 @@ class _WordTable:
     # positional H3-family match, by p and then by schema; it applies when
     # the bits M of A, B, C read p0 (the types it needs, A = a) or M ^ p0
     h3: tuple[tuple, ...]
+    __slots__ = ("shift", "h3")
 
-    # a plain slotted class: a NamedTuple costs more to define at import
-    __slots__ = ("h1", "h2", "shift", "h3")
+    def __init__(self, word, pos, bit, shift, h3):
+        super().__init__(word, pos, bit)
+        self.shift, self.h3 = shift, h3
 
-    def __init__(self, h1, h2, shift, h3):
-        self.h1, self.h2, self.shift, self.h3 = h1, h2, shift, h3
+
+@functools.lru_cache(maxsize=_WORD_TABLE_SIZE)
+def _removal_table(word: tuple[int, ...]) -> _Removals:
+    pos = _positions(word)
+    return _Removals(word, pos, [1 << len(pos) - 1 - x for x in range(len(pos))])
 
 
 @functools.lru_cache(maxsize=_WORD_TABLE_SIZE)
@@ -259,13 +284,6 @@ def _word_table(word: tuple[int, ...]) -> _WordTable:
     pos = _positions(word)
     L, n = len(word), len(pos)
     bit, full = [1 << n - 1 - x for x in range(n)], (1 << n) - 1
-    h1 = tuple((word[r],) for r in range(L - 1) if word[r] == word[r + 1])
-    h2 = []
-    for x, (i, j) in enumerate(pos):
-        # i < j, so i + 1 is inside the word
-        y = word[i + 1]
-        if y != x and pos[y][0] == i + 1 and pos[y][1] in (j - 1, j + 1):
-            h2.append((x, y, bit[x] | bit[y]))
     shift = None
     if word:
         shifted, src = _relabel(word[1:] + word[:1])
@@ -296,7 +314,7 @@ def _word_table(word: tuple[int, ...]) -> _WordTable:
             p0 = (need & 1) * bit[B] | (need >> 1) * bit[C]
             swapped = _relabel(_swap_pairs(word, p, q, r))[0]
             h3.append((M, p0, M ^ p0, (kind, direction, p, q, r), swapped, full ^ bit[u] ^ bit[v], bit[v], bit[u], 1))
-    return _WordTable(h1, tuple(h2), shift, tuple(h3))
+    return _WordTable(word, pos, bit, shift, tuple(h3))
 
 
 class _Tables(dict):
@@ -321,11 +339,11 @@ def _removable_letters(state: State) -> list[tuple[int, ...]]:
     """Letter sets an H1, H2 or H2a removal deletes, in the order of
     :func:`_removal_instances`: H1 by position, then by first letter."""
     word, m = state
-    table = _word_table(word)
+    table = _removal_table(word)
     return [*table.h1, *((x, y) for x, y, pm in table.h2 if 0 < m & pm < pm)]
 
 
-def _reducible_state(state: State, table_of=_word_table) -> bool:
+def _reducible_state(state: State, table_of=_removal_table) -> bool:
     word, m = state
     table = table_of(word)
     for _, _, pm in table.h2:
@@ -667,40 +685,22 @@ def reduce_to_irreducible(
     """
     state = _encode(nw)
     while True:
-        seen, found, limit = _explore(
-            state, _neighbors, _reducible_state, max_members, max_steps
-        )
+        seen, found, limit = _explore(state, _neighbors, _reducible_state, max_members, max_steps)
         if limit is not None:
             current = _decode(state)
             raise _truncation(f"3-class of {current}", limit, max_members, max_steps, current)
         if found is not None:
             state = _without(found, _removable_letters(found)[0])
             continue
-        if max_extra_letters > 0:
-            smaller = _escape_with_insertions(
-                state, max_extra_letters, max_members, max_steps
-            )
-            if smaller is not None:
-                state = smaller
-                continue
-        return _decode(min(seen))
-
-
-def _escape_with_insertions(start, budget, max_members, max_steps):
-    # Full move graph (including insertions) bounded by letter budget,
-    # hunting for any word with fewer letters than the start.
-    L = len(start[0])
-    max_letters = min(L // 2 + budget, MAX_LETTERS)
-    _, found, limit = _explore(
-        start,
-        lambda s: _escape_successors(s, max_letters),
-        lambda s: len(s[0]) < L,
-        max_members,
-        max_steps,
-    )
-    if limit is not None:
-        current = _decode(start)
-        raise _truncation(
-            f"insertion search from {current}", limit, max_members, max_steps, current
-        )
-    return found
+        if max_extra_letters <= 0:
+            return _decode(min(seen))
+        # the whole move graph within the letter budget, for a smaller word
+        L = len(state[0])
+        escape = functools.partial(_escape_successors, max_letters=min(L // 2 + max_extra_letters, MAX_LETTERS))
+        _, smaller, limit = _explore(state, escape, lambda s: len(s[0]) < L, max_members, max_steps)
+        if limit is not None:
+            current = _decode(state)
+            raise _truncation(f"insertion search from {current}", limit, max_members, max_steps, current)
+        if smaller is None:
+            return _decode(min(seen))
+        state = smaller

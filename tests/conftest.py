@@ -8,6 +8,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from nanowords import census as cz
+from nanowords import moves as mv
 from nanowords.words import _ALPHA, Nanoword, normalize_increasing
 
 
@@ -47,3 +48,14 @@ def random_renaming(rng: random.Random, nw: Nanoword) -> Nanoword:
     rename = dict(zip(nw.letters, rng.sample(_ALPHA, nw.crossings)))
     types = dict(zip(map(rename.get, nw.letters), nw.types))
     return Nanoword("".join(map(rename.get, nw.word)), "".join(types[x] for x in sorted(types)))
+
+
+def disguise(rng: random.Random, nw: Nanoword, k: int) -> Nanoword:
+    """``nw`` after k rounds of one random H2/H2a insertion followed by
+    random shift rotations: a word homotopic to ``nw``, not normalized."""
+    for _ in range(k):
+        found = mv.applicable_moves(nw, {"H2", "H2a"}, allow_insertions=True)
+        nw = mv.apply_move(nw, rng.choice([m for m in found if m.direction == "insert"]))
+        for _ in range(rng.randrange(len(nw.word))):
+            nw = mv.shift_rotate(nw)
+    return nw

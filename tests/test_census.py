@@ -5,7 +5,7 @@ import random
 import time
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings, strategies as st
 
 import nanowords.census as cz
 import nanowords.cli as cli
@@ -24,8 +24,7 @@ from nanowords.words import (
 )
 
 import golden
-from conftest import random_renaming
-from test_words import nanowords
+from conftest import disguise, random_renaming
 
 
 class TestGenerator:
@@ -107,10 +106,10 @@ class TestCandidates:
         built = []
         build = mv._word_table.__wrapped__
         monkeypatch.setattr(mv._word_table, "__wrapped__", lambda word: built.append(word) or build(word))
-        before = mv._word_table.cache_info()
+        before = mv._word_table.cache_info(), mv._removal_table.cache_info()
         assert list(cz._survivors(5, mv.DEFAULT_MAX_MEMBERS, mv.DEFAULT_MAX_STEPS))
         assert built and len(built) == len(set(built))
-        assert mv._word_table.cache_info() == before
+        assert (mv._word_table.cache_info(), mv._removal_table.cache_info()) == before
 
     def test_walk_classes_disjoint(self, walks):
         # each class is yielded once, from its minimal member
@@ -144,16 +143,35 @@ class TestIdentify:
         records = [r for r in census5.records if r.crossings == 5]
         start = time.process_time()
         for rec in rng.sample(records, 10):
-            nw = rec.nanoword
-            for _ in range(8):
-                found = mv.applicable_moves(nw, {"H2", "H2a"}, allow_insertions=True)
-                nw = mv.apply_move(nw, rng.choice([m for m in found if m.direction == "insert"]))
-                for _ in range(rng.randrange(len(nw.word))):
-                    nw = mv.shift_rotate(nw)
-            nw = random_renaming(rng, nw)
+            nw = random_renaming(rng, disguise(rng, rec.nanoword, 8))
             assert nw.crossings == 21
             assert cz.identify(nw, census5) == rec.id, nw
         assert time.process_time() - start < 1.0
+
+    def test_move_tables_only_for_expanded_words(self, census5, monkeypatch):
+        # identify tests far more words for reducibility than it expands,
+        # and builds a whole word table only for a word whose state it
+        # expands; the tested words are served by the removal tables
+        rng = random.Random(16)
+        records = rng.choices(census5.records, k=200)
+        queries = [random_renaming(rng, disguise(rng, r.nanoword, i % 4)) for i, r in enumerate(records)]
+        want = [cz.identify(r.nanoword, census5) for r in records]
+        expanded = set()
+        expand = mv._neighbors
+
+        def neighbors(s):
+            expanded.add(s[0])
+            return expand(s)
+
+        monkeypatch.setattr(mv, "_neighbors", neighbors)
+        mv._word_table.cache_clear()
+        mv._removal_table.cache_clear()
+        assert [cz.identify(nw, census5) for nw in queries] == want
+        moved, tested = mv._word_table.cache_info(), mv._removal_table.cache_info()
+        expanded.discard(())  # the empty word has no moves and no table
+        # no table was evicted, so each miss built a distinct word's table
+        assert moved.currsize == moved.misses == len(expanded)
+        assert tested.misses > moved.misses
 
     def test_ambiguous_against_census5(self, census5):
         name = cz.identify(parse_nanoword("ABABCDCEDE:aaaba"), census5)
@@ -251,12 +269,13 @@ class TestSymmetry:
                 assert images[nw] == tuple(want), nw
                 assert all(images[image][i] == nw for i, image in enumerate(want)), nw
 
-    @given(nanowords(min_letters=3, max_letters=6))
+    @given(st.integers(3, 6), st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)
-    def test_image_minima_of_random_words(self, walks, nw):
-        # no word of fewer than 3 letters is irreducible
-        red = mv.reduce_to_irreducible(nw)
-        assume(red.crossings >= 3)
+    def test_image_minima_of_random_words(self, walks, n, rng):
+        # a walked class of 3-6 letters in disguise: no word of 1 or 2
+        # letters is irreducible, so every draw is used
+        s, _ = rng.choice(walks[n][0])
+        red = mv.reduce_to_irreducible(disguise(rng, mv._decode(s), rng.randint(1, 2)))
         images = walks[red.crossings][1][mv.three_class(red).min_member]
         for kind, image in zip(TRANSFORM_KINDS, images):
             assert image == mv.three_class(transform(red, kind)).min_member

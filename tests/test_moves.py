@@ -20,8 +20,10 @@ from nanowords.moves import (
     _neighbors,
     _reducible_state,
     _removable_letters,
+    _removal_table,
     _removals,
     _transform_state,
+    _word_table,
     applicable_moves,
     apply_move,
     is_reducible,
@@ -364,6 +366,32 @@ class TestApply:
                 assert rev
                 assert apply_move(out, rev[0]) == normalize_increasing(nw)[0]
                 checked += 1
+
+
+class TestWordTables:
+    def test_removal_and_whole_tables_agree(self):
+        # a reducibility test reads a word's removal table, the walk its
+        # whole table: both hold the same H1/H2/H2a patterns, and on a
+        # random type mask both decide as the public removals do
+        rng = random.Random(16)
+        words = [_encode(Nanoword(w, "a" * n))[0] for n in range(6) for w in increasing_gauss_words(n)]
+        words += [_encode(random_nanoword(rng, rng.randint(7, 20)))[0] for _ in range(200)]
+        assert len(words) == 1070 + 200
+        for word in words:
+            removal, whole = _removal_table.__wrapped__(word), _word_table.__wrapped__(word)
+            assert (removal.h1, removal.h2) == (whole.h1, whole.h2), word
+            s = (word, rng.getrandbits(len(word) // 2))
+            reducible = is_reducible(_decode(s))
+            assert _reducible_state(s, lambda w: removal) == _reducible_state(s, lambda w: whole) == reducible, s
+
+    @pytest.mark.parametrize("text", ["ABBA:ab", "ABAB:ba", "ABCDDCBA:abab", "ABCDCDAB:abab"])
+    def test_reducible_starts_build_no_move_table(self, text):
+        # every start on the way down is reducible, so no state is
+        # expanded and only removal tables are read
+        before, tested = _word_table.cache_info(), _removal_table.cache_info()
+        assert reduce_to_irreducible(parse_nanoword(text)) == EMPTY
+        assert _word_table.cache_info() == before
+        assert _removal_table.cache_info() != tested
 
 
 # --- 3-classes -----------------------------------------------------------
