@@ -278,20 +278,18 @@ def _record_id(n: int, k: int) -> str:
     return "0" if n == 0 else f"{n}.{k}"
 
 
-def _covering_radii(stats: invariants.LetterStats) -> dict[int, int]:
-    """Each radius r = 2 .. max|n(X)|+1, mapped to the first with its covering.
+def _covering_radii(stats: invariants.LetterStats) -> dict[tuple[str, ...], list[int]]:
+    """The radii r = 2 .. max|n(X)|+1, grouped by the letters X their
+    r-covering keeps (r | n(X), alphabetical), in order of first radius.
 
-    The r-covering deletes the letters whose n-value r does not divide,
-    so radii deleting the same letters share a covering, and every r past
-    max|n(X)| deletes what max|n(X)|+1 deletes.  Empty when every n-value
-    is 0: each covering is then the word itself.
+    Every r past max|n(X)| keeps what max|n(X)|+1 keeps.  Empty when
+    every n-value is 0: each covering is then the word itself.
     """
-    top = max((abs(v) for v in stats.n.values()), default=0)
-    first: dict[frozenset, int] = {}
-    return {
-        r: first.setdefault(frozenset(x for x, v in stats.n.items() if v % r), r)
-        for r in range(2, top + 2)
-    }
+    top = max(map(abs, stats.n.values()), default=0)
+    radii: dict[tuple[str, ...], list[int]] = {}
+    for r in range(2, top + 2):
+        radii.setdefault(invariants._kept(stats.nanoword, r, stats), []).append(r)
+    return radii
 
 
 class Separation(NamedTuple):
@@ -308,7 +306,7 @@ def separate(
     census: CensusTable,
     max_members: int = DEFAULT_MAX_MEMBERS,
     max_steps: int = DEFAULT_MAX_STEPS,
-    reduced: dict[Nanoword, Nanoword] | None = None,
+    reduced: dict[tuple[str, str], Nanoword] | None = None,
 ) -> Separation:
     """Invariants and separation key ``(rho, phi, cover_phis)`` of ``nw``.
 
@@ -317,27 +315,29 @@ def separate(
     census word.  The sequence is constant past max|n(X)|, so trailing
     repeats are trimmed; a word whose n-values are all 0 keeps the one
     element ``(phi,)``.  ``covers`` maps the first radius of each
-    distinct covering to that covering reduced, or to None where it is
-    ``nw`` itself.  Words with different keys are different strings.
+    distinct covering to that covering reduced, or to None where its
+    text is that of ``nw``.  Words with different keys are different
+    strings.
 
-    ``reduced`` maps coverings to their reductions under the same
-    limits; it is read and filled, so callers separating many words can
-    share it.
+    ``reduced`` maps the ``(word, types)`` text of normalized coverings
+    to their reductions under the same limits; it is read and filled,
+    so callers separating many words can share it.
     """
     if reduced is None:
         reduced = {}
     stats = invariants.n_values(nw)
     cf, _, display = invariants._canonical(invariants.based_matrix(nw, stats))
-    radii = _covering_radii(stats)
-    covers: dict[int, Nanoword | None] = dict.fromkeys(radii.values())
-    for r in covers:
-        cov = invariants.covering(nw, r, stats)
-        if cov != nw:
-            if cov not in reduced:
-                reduced[cov] = moves.reduce_to_irreducible(cov, 0, max_members, max_steps)
-            covers[r] = reduced[cov]
-    seq = [cf.phi if covers[r] is None else census.phi_of(covers[r]) for r in radii.values()]
-    seq = seq or [cf.phi]
+    covers: dict[int, Nanoword | None] = {}
+    phis: dict[int, tuple[int, ...]] = {}
+    for keep, radii in _covering_radii(stats).items():
+        text = invariants._covering_text(nw, keep)
+        if text == (nw.word, nw.types):
+            red = None
+        elif (red := reduced.get(text)) is None:
+            red = reduced[text] = moves.reduce_to_irreducible(Nanoword(*text), 0, max_members, max_steps)
+        covers[radii[0]] = red
+        phis.update(dict.fromkeys(radii, cf.phi if red is None else census.phi_of(red)))
+    seq = [phis[r] for r in sorted(phis)] or [cf.phi]
     while len(seq) > 1 and seq[-1] == seq[-2]:
         seq.pop()
     return Separation((cf.rho, cf.phi, tuple(seq)), invariants.u_of(stats), display, covers)
@@ -403,7 +403,7 @@ def distinguish(
     sharing the invariants; nothing in the calculus decides which, so
     the group is reported rather than treated as an error.
     """
-    reduced: dict[Nanoword, Nanoword] = {}
+    reduced: dict[tuple[str, str], Nanoword] = {}
     seps = {nw: separate(nw, prior, max_members, max_steps, reduced) for nw in cands}
     buckets: dict[tuple, list[Nanoword]] = {}
     for nw in cands:
@@ -523,18 +523,16 @@ def symmetry_classify(
 
 def table1(census: CensusTable) -> list[dict]:
     """Census rows: id, nanoword, u(t), rho, based matrix (display form)."""
-    out = []
-    for r in census.records:
-        out.append(
-            {
-                "id": r.id,
-                "nanoword": str(r.nanoword),
-                "u": str(r.u),
-                "rho": r.rho,
-                "phi": invariants.phi_string(r.phi_display) or "0",
-            }
-        )
-    return out
+    return [
+        {
+            "id": r.id,
+            "nanoword": str(r.nanoword),
+            "u": str(r.u),
+            "rho": r.rho,
+            "phi": invariants.phi_string(r.phi_display) or "0",
+        }
+        for r in census.records
+    ]
 
 
 def table2(census: CensusTable) -> dict[int, int]:
@@ -594,16 +592,14 @@ def table4(census: CensusTable) -> list[list[dict]]:
 
 
 def table5(census: CensusTable) -> list[dict]:
-    out = []
-    for g in census.unresolved:
-        out.append(
-            {
-                "members": [str(m) for m in g.members],
-                "rho": g.rho,
-                "phi": invariants.phi_string(g.phi_display),
-            }
-        )
-    return out
+    return [
+        {
+            "members": [str(m) for m in g.members],
+            "rho": g.rho,
+            "phi": invariants.phi_string(g.phi_display),
+        }
+        for g in census.unresolved
+    ]
 
 
 def build_tables(census: CensusTable) -> dict:

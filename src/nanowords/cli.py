@@ -192,7 +192,7 @@ def cmd_invariants(args) -> int:
     cf, _, display = invariants._canonical(invariants.based_matrix(nw, stats))
     covers = {
         r: str(invariants.covering_raw(nw, r, stats))
-        for r in dict.fromkeys(cz._covering_radii(stats).values())
+        for r, *_ in cz._covering_radii(stats).values()
     }
     if args.json:
         json.dump(
@@ -248,12 +248,8 @@ def cmd_tables(args) -> int:
         else:
             print(", ".join(f"{n}:{c}" for n, c in counts.items()))
     elif args.table == 3:
-        _emit_rows(
-            tables["table3"],
-            ["id", "mirror", "inverse", "mirror_inverse", "type"],
-            args.format,
-            sys.stdout,
-        )
+        columns = ["id", "mirror", "inverse", "mirror_inverse", "type"]
+        _emit_rows(tables["table3"], columns, args.format, sys.stdout)
     elif args.table == 4:
         rows = [r for grp in tables["table4"] for r in grp]
         _emit_rows(rows, ["id", "nanoword", "phi", "cover2"], args.format, sys.stdout)

@@ -30,16 +30,17 @@ depend on the types: for each letter X and each of its two types, the
 masks G1, G2 of the letters whose first and second occurrence X's loop
 passes (for s, every letter).  With A and B the masks of the type-a and
 type-b letters, and H1, H2 also holding h itself (that Z = h term is the
-turn term), an entry is
+turn term), an entry is, as A and B are disjoint,
 
-    popcount(G1 & H2 & A) - popcount(G1 & H2 & B)
-      - popcount(G2 & H1 & A) + popcount(G2 & H1 & B).
+    popcount(G1 & H2 & A | G2 & H1 & B)
+      - popcount(G1 & H2 & B | G2 & H1 & A).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .words import _ALPHA, TYPE_A, Nanoword
@@ -101,27 +102,38 @@ def linking(nw: Nanoword, x: str, y: str) -> int:
 
 @dataclass(frozen=True)
 class LetterStats:
-    """The full lk table and the sums n(X) = sum_Y lk(X, Y)."""
+    """The sums n(X) = sum_Y lk(X, Y) of ``nanoword``, and its full lk
+    table, built on first use."""
 
-    lk: dict[str, dict[str, int]]
+    nanoword: Nanoword
     n: dict[str, int]
+
+    @functools.cached_property
+    def lk(self) -> dict[str, dict[str, int]]:
+        lk = {x: dict.fromkeys(self.n, 0) for x in self.n}
+        for x, y, v in _signs(self.nanoword):
+            lk[x][y], lk[y][x] = v, -v
+        return lk
+
+
+def _signs(nw: Nanoword):
+    """(x, y, lk(x, y)) for each alternating pair x < y.  lk(x, y) is the
+    sign of a simulation: shift-rotate the word until it begins with x of
+    type a, and read y's type (a: +1).  The rotation stops at x's first
+    or, for x of type b, second occurrence, and flips y once per
+    occurrence of y before that stop."""
+    letters, _, pairs, _ = _word_table(nw.word)
+    is_a = [t == TYPE_A for t in nw.types]
+    for x, y, p1, p2 in pairs:
+        yield letters[x], letters[y], 1 if is_a[y] != (p1 if is_a[x] else p2) else -1
 
 
 def n_values(nw: Nanoword) -> LetterStats:
-    """lk over the alternating pairs, and n.  lk(x, y) is the sign of a
-    simulation: shift-rotate the word until it begins with x of type a,
-    and read y's type (a: +1).  The rotation stops at x's first or, for
-    x of type b, second occurrence, and flips y once per occurrence of y
-    before that stop."""
-    letters, _, pairs, _ = _word_table(nw.word)
-    is_a = [t == TYPE_A for t in nw.types]
-    lk = {x: dict.fromkeys(letters, 0) for x in letters}
-    for x, y, p1, p2 in pairs:
-        v = 1 if is_a[y] != (p1 if is_a[x] else p2) else -1
-        lk[letters[x]][letters[y]] = v
-        lk[letters[y]][letters[x]] = -v
-    n = {x: sum(lk[x].values()) for x in letters}
-    return LetterStats(lk=lk, n=n)
+    """n, summed over the alternating pairs without the lk table."""
+    n = dict.fromkeys(nw.letters, 0)
+    for x, y, v in _signs(nw):
+        n[x], n[y] = n[x] + v, n[y] - v
+    return LetterStats(nw, n)
 
 
 @dataclass(frozen=True)
@@ -166,35 +178,37 @@ def covering_raw(nw: Nanoword, r: int, stats: LetterStats | None = None) -> Nano
 
     ``stats``, the n-values of ``nw``, are computed here when not given.
     """
-    if r < 1:
-        raise InvariantError("covering index r must be >= 1")
     if r == 1:
         return nw
-    if stats is None:
-        stats = n_values(nw)
-    drop = {x for x, v in stats.n.items() if v % r != 0}
-    word = "".join(c for c in nw.word if c not in drop)
-    kept = [x for x in nw.letters if x not in drop]
-    types = "".join(nw.type_of(x) for x in kept)
-    return Nanoword(word, types)
+    keep = _kept(nw, r, stats)
+    word = "".join(x for x in nw.word if x in keep)
+    return Nanoword(word, "".join(map(nw.type_map.__getitem__, keep)))
 
 
 def covering(nw: Nanoword, r: int, stats: LetterStats | None = None) -> Nanoword:
     """The r-covering, increasing-normalized; r = 1 is the identity."""
+    return nw if r == 1 else Nanoword(*_covering_text(nw, _kept(nw, r, stats)))
+
+
+def _kept(nw: Nanoword, r: int, stats: LetterStats | None) -> tuple[str, ...]:
+    # the letters X of the r-covering, r | n(X), alphabetical
     if r < 1:
         raise InvariantError("covering index r must be >= 1")
-    if r == 1:
-        return nw
-    if stats is None:
-        stats = n_values(nw)
-    letters, _, _, kept = _word_table(nw.word)
-    keep = tuple(x for x in letters if stats.n[x] % r == 0)
+    n = (stats or n_values(nw)).n
+    return tuple(x for x in nw.letters if n[x] % r == 0)
+
+
+def _covering_text(nw: Nanoword, keep: tuple[str, ...]) -> tuple[str, str]:
+    """``(word, types)`` of the increasing-normalized sub-nanoword of
+    ``nw`` on the letters ``keep`` (alphabetical), its normal form read
+    from, or filed in, the word table's ``kept`` map."""
+    kept = _word_table(nw.word)[3]
     if keep not in kept:
         # :func:`words.normalize_increasing` of the word on ``keep``
         rename = dict(zip(dict.fromkeys(x for x in nw.word if x in keep), _ALPHA))
         kept[keep] = "".join(rename[x] for x in nw.word if x in rename), tuple(rename)
     word, old = kept[keep]
-    return Nanoword(word, "".join(map(nw.type_map.__getitem__, old)))
+    return word, "".join(map(nw.type_map.__getitem__, old))
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +282,7 @@ def based_matrix(nw: Nanoword, stats: LetterStats | None = None) -> BasedMatrix:
         for j in range(i + 1, m + 1):
             h1, h2 = own[j - 1]
             x, y = g1 & h2, g2 & h1
-            v = (x & A).bit_count() - (x & B).bit_count() - (y & A).bit_count() + (y & B).bit_count()
+            v = (x & A | y & B).bit_count() - (x & B | y & A).bit_count()
             b[i][j], b[j][i] = v, -v
 
     result = BasedMatrix(("s",) + letters, tuple(tuple(row) for row in b))
@@ -296,11 +310,12 @@ def _reduction_candidates(bm: BasedMatrix) -> list[tuple[str, ...]]:
     """
     m = bm.size
     B = bm.entries
+    rest = [tuple(map(operator.sub, B[0], row)) for row in B]  # b(s, .) - b(g, .)
     singles = [(bm.labels[i],) for i in range(1, m) if not any(B[i]) or B[i] == B[0]]
     pairs = [
         (bm.labels[i], bm.labels[j])
         for i, j in itertools.combinations(range(1, m), 2)
-        if all(B[i][h] + B[j][h] == B[0][h] for h in range(m))
+        if B[j] == rest[i]
     ]
     return singles + pairs
 
@@ -368,13 +383,11 @@ def m_profile(bm: BasedMatrix, g: str) -> tuple[int, ...]:
 
 def _profile(row: tuple[int, ...]) -> tuple[int, ...]:
     # :func:`m_profile` of the element whose row is ``row``
-    counts: dict[int, int] = {}
-    for v in row[1:]:
-        counts[v] = counts.get(v, 0) + 1
-    out: list[int] = []
-    for i in sorted(counts):
-        out.extend((i, counts[i]))
-    return tuple(out)
+    row = row[1:]
+    out: tuple[int, ...] = ()
+    for v in sorted(set(row)):
+        out += v, row.count(v)
+    return out
 
 
 @dataclass(frozen=True)
@@ -464,8 +477,12 @@ def _canonical(bm: BasedMatrix):
     element classes one after another (:func:`display_theta`)."""
     prim = reduce_based_matrix(bm)
     classes = _element_classes(prim)
-    t, order = _min_theta(prim, classes)
-    display = _theta_at(prim.entries, [0] + [g for cls in classes for g in cls])
+    ids = [0] + [g for cls in classes for g in cls]
+    display = _theta_at(prim.entries, ids)
+    if len(classes) == len(ids) - 1:  # singletons: the class order is the only one
+        t, order = display, tuple(prim.labels[i] for i in ids)
+    else:
+        t, order = _min_theta(prim, classes)
     return CanonicalPBM(rho=prim.size - 1, phi=t), order, display
 
 
@@ -481,6 +498,7 @@ def display_theta(bm: BasedMatrix) -> tuple[int, ...]:
     within-class minimization, so unlike :func:`canonical_form` it is not
     an isomorphism invariant; it coincides with phi except where a class
     holds interchangeable elements whose given order is not the minimal
-    one (a single known census entry).  Use it for table display only.
+    one.  That happens on 1 census record up to 4 crossings (4.1), 6 up
+    to 5 and 218 up to 6.  Use it for table display only.
     """
     return _canonical(bm)[2]

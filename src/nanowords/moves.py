@@ -613,27 +613,17 @@ def apply_move(nw: Nanoword, m: MoveInstance) -> Nanoword:
 
 
 def _delete_letters(nw: Nanoword, letters: set[str]) -> Nanoword:
-    word = "".join(x for x in nw.word if x not in letters)
     kept = [x for x in nw.letters if x not in letters]
-    types = "".join(nw.type_of(x) for x in kept)
-    return Nanoword(word, types)
+    return Nanoword("".join(x for x in nw.word if x not in letters), "".join(map(nw.type_map.get, kept)))
 
 
 def _insert(nw: Nanoword, chunks: list[tuple[int, str]], new_types: dict[str, str]) -> Nanoword:
     # chunks: (site, text) with sites in the *current* word, ascending
-    word = nw.word
-    out = []
-    prev = 0
+    word, prev = "", 0
     for site, text in chunks:
-        out.append(word[prev:site])
-        out.append(text)
-        prev = site
-    out.append(word[prev:])
-    word = "".join(out)
-    tmap = dict(nw.type_map)
-    tmap.update(new_types)
-    types = "".join(tmap[x] for x in sorted(tmap))
-    return Nanoword(word, types)
+        word, prev = word + nw.word[prev:site] + text, site
+    tmap = {**nw.type_map, **new_types}
+    return Nanoword(word + nw.word[prev:], "".join(tmap[x] for x in sorted(tmap)))
 
 
 def is_reducible(nw: Nanoword) -> bool:

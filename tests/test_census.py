@@ -393,8 +393,47 @@ class TestCensus5:
             reductions += sum(red is not None for red in fresh.covers.values())
         # 52 distinct coverings among 920 reductions
         assert len(reduced) < reductions / 10
-        for cov, red in reduced.items():
-            assert red == mv.reduce_to_irreducible(cov)
+        for text, red in reduced.items():
+            assert red == mv.reduce_to_irreducible(Nanoword(*text))
+
+    @pytest.mark.parametrize(
+        "rid,text,key,covers",
+        [
+            (
+                "5.326",
+                "KEMKEUBMUB:aaaaa",
+                (5, (-2, 0, 0, 0, 2, 2, 1, 1, 1, 1, -1, 2, -1, 1, 1),
+                 ((-2, 0, 0, 0, 2, 2, 1, 1, 1, 1, -1, 2, -1, 1, 1), ())),
+                {2: "ABCABDECDE:aaaaa", 3: "0"},
+            ),
+            (
+                "5.327",
+                "CRDCRLSDLS:aabab",
+                (5, (-4, 0, 0, 2, 2, 3, 1, 4, 2, -1, 1, 1, 1, 1, 1),
+                 ((-4, 0, 0, 2, 2, 3, 1, 4, 2, -1, 1, 1, 1, 1, 1), (), (-2, 1, 1, 1, 2, 0), ())),
+                {2: "ABCABDECDE:aaabb", 3: "0", 4: "ABACBC:aab"},
+            ),
+            (
+                "5.3",
+                "SDSDHUHBUB:baaab",
+                (5, (-1, -1, -1, 1, 2, 0, -1, 1, 2, 0, 0, 1, 1, 1, -1), ((),)),
+                {2: "0", 3: "0"},
+            ),
+        ],
+    )
+    def test_separate_word_not_in_normal_form(self, census5, rid, text, key, covers):
+        # a letter-renamed copy of a record: a covering keeping every
+        # letter is the normalized word, not the copy's text, so it is
+        # reduced rather than None (5.326 and 5.327 at r = 2)
+        nw = parse_nanoword(text)
+        sep = cz.separate(nw, census5)
+        assert sep.key == key == census5.by_id(rid).key
+        assert {r: str(red) for r, red in sep.covers.items()} == covers
+        own = cz.separate(census5.by_id(rid).nanoword, census5).covers
+        assert own.keys() == covers.keys()
+        assert [r for r, red in own.items() if red is None] == (
+            [2] if rid in ("5.326", "5.327") else []
+        )
 
 
 def census_digest(census):

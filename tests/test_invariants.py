@@ -410,6 +410,104 @@ class TestCanonicalForm:
             else:
                 assert rec.phi == rec.phi_display
 
+    def test_display_differs_only_on_tied_classes(self, census5):
+        # up to 5 crossings display and phi differ on six records, and each
+        # one's primitive matrix has an element class of two or more: the
+        # only case in which the ordering search runs
+        differ = [r for r in census5.records if r.phi != r.phi_display]
+        assert [r.id for r in differ] == ["4.1", "5.16", "5.21", "5.136", "5.141", "5.156"]
+        for rec in differ:
+            prim = reduce_based_matrix(based_matrix(rec.nanoword))
+            assert max(map(len, inv._element_classes(prim))) >= 2, rec.id
+
+    def test_canonical_matches_search_on_census(self, census5):
+        # _canonical skips the depth-first search when every class is a
+        # singleton; _min_theta stays the reference
+        for rec in census5.records:
+            bm = based_matrix(rec.nanoword)
+            prim = reduce_based_matrix(bm)
+            cf, order, _ = inv._canonical(bm)
+            assert (cf.phi, order) == inv._min_theta(prim, inv._element_classes(prim)), rec.id
+
+    @settings(deadline=None)
+    @given(st.integers(min_value=1, max_value=7), st.data())
+    def test_canonical_matches_search_on_random_matrices(self, size, data):
+        # small entries, so that primitive matrices often have tied classes
+        entries = data.draw(
+            st.lists(
+                st.integers(min_value=-1, max_value=1),
+                min_size=size * (size - 1) // 2,
+                max_size=size * (size - 1) // 2,
+            )
+        )
+        labels = ("s",) + tuple(f"e{i}" for i in range(1, size))
+        bm = BasedMatrix(labels, theta_inverse(tuple(entries), size))
+        prim = reduce_based_matrix(bm)
+        cf, order, display = inv._canonical(bm)
+        assert (cf.phi, order) == inv._min_theta(prim, inv._element_classes(prim))
+        assert cf.rho == prim.size - 1 and cf.phi <= display
+
+
+def literal_candidates(bm):
+    """The reduction moves as defined: R1 b(g, .) = 0, R2 b(g, .) = b(s, .),
+    R3 b(g1, h) + b(g2, h) = b(s, h) for every h in G."""
+    G, b = bm.labels, bm.b
+    singles = [
+        (g,) for g in G[1:]
+        if all(b(g, h) == 0 for h in G) or all(b(g, h) == b("s", h) for h in G)
+    ]
+    pairs = [
+        (g1, g2) for g1, g2 in itertools.combinations(G[1:], 2)
+        if all(b(g1, h) + b(g2, h) == b("s", h) for h in G)
+    ]
+    return singles + pairs
+
+
+def planted_matrix(rng, size):
+    """A random skew-symmetric matrix over s, e1, ... with some elements
+    planted to satisfy R1, R2 or R3."""
+    m = [[0] * size for _ in range(size)]
+    for i, j in itertools.combinations(range(size), 2):
+        m[i][j] = rng.randint(-2, 2)
+        m[j][i] = -m[i][j]
+
+    def put(i, j, v):
+        m[i][j], m[j][i] = v, -v
+
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.choice(["R1", "R2", "R3"])
+        if kind == "R1" and size > 1:
+            g = rng.randrange(1, size)
+            for h in range(size):
+                put(g, h, 0)
+        elif kind == "R2" and size > 1:
+            g = rng.randrange(1, size)
+            put(0, g, 0)
+            for h in range(1, size):
+                if h != g:
+                    put(g, h, m[0][h])
+        elif kind == "R3" and size > 2:
+            g1, g2 = rng.sample(range(1, size), 2)
+            for h in range(size):
+                if h not in (g1, g2):
+                    put(g2, h, m[0][h] - m[g1][h])
+            put(g1, g2, m[g1][0])
+    labels = ("s",) + tuple(f"e{i}" for i in range(1, size))
+    return BasedMatrix(labels, tuple(map(tuple, m)))
+
+
+def test_reduction_candidates_match_definition():
+    rng = random.Random(17)
+    seen = {1: 0, 2: 0}
+    for _ in range(3000):
+        bm = planted_matrix(rng, rng.randint(1, 7))
+        found = inv._reduction_candidates(bm)
+        assert found == literal_candidates(bm), bm
+        for c in found:
+            seen[len(c)] += 1
+    # the planted elements are found: many R1/R2 singles and R3 pairs
+    assert seen[1] > 1000 and seen[2] > 500, seen
+
 
 class TestReduction:
     def test_moves_never_touch_s(self):
