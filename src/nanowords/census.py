@@ -2,8 +2,8 @@
 
 The generator visits the nanowords over increasing Gauss words in
 ascending order and keeps one when it is minimal in its 3-class and that
-class is irreducible.  As starts ascend, a reducible start, or one an
-earlier search reached, is rejected without a search.  A class's
+class is irreducible.  Only a Gauss word least among its rotations is
+walked, and a reducible start is rejected without a search.  A class's
 mirror, inverse and mirror-inverse are classes of the same walk, each
 found by looking one member's transform up among the later classes.
 Candidates are separated by one key: rho, the canonical primitive based
@@ -86,35 +86,35 @@ def candidates(
 def _survivors(n, max_members, max_steps):
     """Yield each candidate's ``State`` with the members of its 3-class.
 
-    Starts ascend: the words, and on each word the type masks, so one
-    that is reducible or in ``ahead`` is no candidate.  ``ahead`` holds
-    the masks that searches reached in a word, ``tables`` the walk's word
-    tables; each drops a word once the walk passes it.
+    After p shift moves a state's word is ``_relabel(word[p:] + word[:p])``,
+    so a candidate's word is the least of its rotations.  Words ascend: the
+    first word met from a rotation orbit is its least, and files the rest
+    in ``rotated`` to be skipped.  A word with ``word[0] == word[-1]`` is
+    skipped too, as one shift gives it an adjacent XX.  A reducible start
+    is no candidate.  ``tables`` holds the walk's word tables, each
+    dropped once the walk passes its word.
     """
-    ahead: dict[tuple[int, ...], set[int]] = {}
+    rotated: set[tuple[int, ...]] = set()
     tables = moves._Tables()
     table_of = tables.__getitem__
     for word in _gauss_words(n, skip_adjacent_doubles=True):
-        reached = ahead.setdefault(word, set())
-        for mask in range(1 << n):
-            state = (word, mask)
-            if mask in reached or moves._reducible_state(state, table_of):
-                continue
-            cls = _minimal_irreducible_class(state, ahead, table_of, max_members, max_steps)
-            if cls is not None:
-                yield state, cls
-        del ahead[word], tables[word]
+        if word not in rotated and not (word and word[0] == word[-1]):
+            rotated.update(moves._relabel(word[p:] + word[:p])[0] for p in range(1, len(word)))
+            for mask in range(1 << n):
+                state = (word, mask)
+                if not moves._reducible_state(state, table_of):
+                    cls = _minimal_irreducible_class(state, table_of, max_members, max_steps)
+                    if cls is not None:
+                        yield state, cls
+        rotated.discard(word)
+        tables.pop(word, None)
 
 
-def _minimal_irreducible_class(start, ahead, table_of, max_members, max_steps):
+def _minimal_irreducible_class(start, table_of, max_members, max_steps):
     """Guarded 3-class exploration from ``start``: the whole class, or None.
 
     Aborts as soon as a member smaller than ``start`` or a reducible
-    member appears, before reading that member's table.  All members but
-    ``start`` and that one are larger than ``start`` and irreducible, and
-    their type masks are filed in ``ahead``: a search from one would abort
-    too.  That one is not filed: it is smaller than ``start`` or
-    reducible, so no search ever starts from it.
+    member appears, before reading that member's table.
     """
     def stop(s):
         return s < start or moves._reducible_state(s, table_of)
@@ -124,8 +124,6 @@ def _minimal_irreducible_class(start, ahead, table_of, max_members, max_steps):
     )
     if limit is not None:
         raise moves._truncation(f"3-class of {moves._decode(start)}", limit, max_members, max_steps)
-    for word, mask in local - {start, found}:
-        ahead.setdefault(word, set()).add(mask)
     return local if found is None else None
 
 

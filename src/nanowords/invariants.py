@@ -308,16 +308,15 @@ def _reduction_candidates(bm: BasedMatrix) -> list[tuple[str, ...]]:
     matrices down to rank 0), while the strict form reproduces every
     published primitive size.
     """
-    m = bm.size
-    B = bm.entries
+    return _removable(bm.labels, bm.entries)
+
+
+def _removable(labels, B) -> list[tuple[str, ...]]:
+    # :func:`_reduction_candidates` on the labels and entries of a matrix
+    m = len(labels)
     rest = [tuple(map(operator.sub, B[0], row)) for row in B]  # b(s, .) - b(g, .)
-    singles = [(bm.labels[i],) for i in range(1, m) if not any(B[i]) or B[i] == B[0]]
-    pairs = [
-        (bm.labels[i], bm.labels[j])
-        for i, j in itertools.combinations(range(1, m), 2)
-        if B[j] == rest[i]
-    ]
-    return singles + pairs
+    singles = [(labels[i],) for i in range(1, m) if not any(B[i]) or B[i] == B[0]]
+    return singles + [(labels[i], labels[j]) for i, j in itertools.combinations(range(1, m), 2) if B[j] == rest[i]]
 
 
 def reduce_based_matrix(bm: BasedMatrix, rng=None) -> BasedMatrix:
@@ -327,14 +326,17 @@ def reduce_based_matrix(bm: BasedMatrix, rng=None) -> BasedMatrix:
     candidate in the current element order.  Passing an ``rng`` draws the
     next move uniformly from all available candidates instead; the
     canonical form of the result must not depend on the order, which the
-    test suite checks rather than assumes.
+    test suite checks rather than assumes.  Each move is
+    :meth:`BasedMatrix.drop` on bare labels and entries: a submatrix of a
+    skew-symmetric matrix is one, so only the primitive is validated.
     """
-    while True:
-        candidates = _reduction_candidates(bm)
-        if not candidates:
-            return bm
+    labels, B = bm.labels, bm.entries
+    while candidates := _removable(labels, B):
         choice = candidates[0] if rng is None else candidates[rng.randrange(len(candidates))]
-        bm = bm.drop(set(choice))
+        keep = [i for i, lab in enumerate(labels) if lab not in choice]
+        labels = tuple(labels[i] for i in keep)
+        B = tuple(tuple(B[i][j] for j in keep) for i in keep)
+    return bm if labels is bm.labels else BasedMatrix(labels, B)
 
 
 def is_primitive(bm: BasedMatrix) -> bool:

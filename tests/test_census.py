@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -19,6 +20,7 @@ from nanowords.words import (
     TRANSFORM_KINDS,
     Nanoword,
     count,
+    normalize_increasing,
     parse_nanoword,
     transform,
 )
@@ -111,6 +113,48 @@ class TestCandidates:
         assert built and len(built) == len(set(built))
         assert (mv._word_table.cache_info(), mv._removal_table.cache_info()) == before
 
+    def test_skipped_words_carry_no_candidate(self):
+        # brute force: on a word with a smaller rotation, or with equal
+        # first and last letters, every 3-class is reducible or has a
+        # smaller member
+        kinds = set()
+        for n in range(2, 6):
+            closed = {}
+            for w in cz.increasing_gauss_words(n, skip_adjacent_doubles=True):
+                if w in rotation_minimal_words(n):
+                    continue
+                kinds.add(w[0] == w[-1])
+                for bits in itertools.product("ab", repeat=n):
+                    nw = Nanoword(w, "".join(bits))
+                    if nw not in closed:
+                        tc = mv.three_class(nw)
+                        assert not tc.truncated
+                        closed.update(dict.fromkeys(tc.members, tc))
+                    tc = closed[nw]
+                    assert tc.reducible or tc.min_member < nw, nw
+        assert kinds == {True, False}
+
+    def test_searches_start_on_rotation_minimal_words(self, monkeypatch):
+        starts = []
+        explore = mv._explore
+        monkeypatch.setattr(mv, "_explore", lambda start, *rest: starts.append(start) or explore(start, *rest))
+        for n, walked in ((5, 36), (6, 300)):
+            del starts[:]
+            assert list(cz._survivors(n, mv.DEFAULT_MAX_MEMBERS, mv.DEFAULT_MAX_STEPS))
+            words = {mv._decode((w, 0)).word for w, _ in starts}
+            assert words <= rotation_minimal_words(n)
+            assert len(words) == len(rotation_minimal_words(n)) == walked
+
+    @pytest.mark.slow
+    def test_pinned_walk_at_seven_crossings(self):
+        # 182,149 survivors with 3,019,626 class members, streamed
+        digest, survivors, members = hashlib.sha256(), 0, 0
+        for s, cls in cz._survivors(7, mv.DEFAULT_MAX_MEMBERS, mv.DEFAULT_MAX_STEPS):
+            digest.update(f"{mv._decode(s)} {len(cls)}\n".encode())
+            survivors, members = survivors + 1, members + len(cls)
+        assert (survivors, members) == (182149, 3019626)
+        assert digest.hexdigest() == "bc10926a3bfb9f849cf7712f193d3c1ae893a11e36c7890ddee8bd1858628283"
+
     def test_walk_classes_disjoint(self, walks):
         # each class is yielded once, from its minimal member
         for n, (survivors, _) in walks.items():
@@ -177,6 +221,22 @@ class TestIdentify:
         name = cz.identify(parse_nanoword("ABABCDCEDE:aaaba"), census5)
         assert name.startswith("ambiguous(")
         assert "ABABCDCD:aaaa" in name and "ABABCDCEDE:aaaba" in name
+
+
+@functools.cache
+def rotation_minimal_words(n):
+    """The n-letter Gauss words, without adjacent doubles, that are least
+    among the normal forms of their shift rotations and do not begin and
+    end with one letter."""
+    out = set()
+    for w in cz.increasing_gauss_words(n, skip_adjacent_doubles=True):
+        nw, rotations = Nanoword(w, "a" * n), set()
+        for _ in range(2 * n):
+            nw = mv.shift_rotate(nw)
+            rotations.add(normalize_increasing(nw)[0].word)
+        if w == min(rotations) and w[0] != w[-1]:
+            out.add(w)
+    return out
 
 
 @pytest.fixture(scope="module")

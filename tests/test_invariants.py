@@ -534,6 +534,33 @@ class TestReduction:
                 assert is_primitive(prim)
                 assert canonical_form(prim) == reference
 
+    def test_reduction_validates_only_the_primitive(self, census5, monkeypatch):
+        # the same moves as a chain of ``drop`` calls, in both orders, with
+        # at most one validated matrix beyond the input, on every census5
+        # word, on its 2- and 3-coverings, which mostly reduce, and on
+        # planted matrices, where the order of the moves shows
+        def drop_chain(bm, rng):
+            while found := inv._reduction_candidates(bm):
+                bm = bm.drop(set(found[0] if rng is None else found[rng.randrange(len(found))]))
+            return bm
+
+        validate, built = BasedMatrix.__post_init__, []
+        monkeypatch.setattr(BasedMatrix, "__post_init__", lambda bm: built.append(bm) or validate(bm))
+        words = [r.nanoword for r in census5.records] + [m for g in census5.unresolved for m in g.members]
+        assert len(words) == 436
+        rng = random.Random(18)
+        matrices = [based_matrix(covering(nw, r)) for nw in words for r in (1, 2, 3)]
+        matrices += [planted_matrix(rng, rng.randint(2, 7)) for _ in range(1000)]
+        chains = 0
+        for seed, bm in enumerate(matrices):
+            for order in (None, random.Random(seed)):
+                want = drop_chain(bm, order and random.Random(seed))
+                del built[:]
+                assert reduce_based_matrix(bm, order) == want, bm
+                assert len(built) <= 1
+                chains += bm.size - want.size > 1
+        assert chains > 1000
+
     def test_primitive_fixed_point(self):
         bm = BasedMatrix(golden.WORKED_EXAMPLE_LABELS, golden.WORKED_EXAMPLE_MATRIX)
         assert is_primitive(bm)
