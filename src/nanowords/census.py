@@ -3,9 +3,13 @@
 The generator visits the nanowords over increasing Gauss words in
 ascending order and keeps one when it is minimal in its 3-class and that
 class is irreducible.  Only a Gauss word least among its rotations is
-walked, and a reducible start is rejected without a search.  A class's
-mirror, inverse and mirror-inverse are classes of the same walk, each
-found by looking one member's transform up among the later classes.
+walked, and a reducible start is rejected without a search.  The
+mirror of a state keeps its Gauss word, complements its type mask and
+keeps reducibility, so one search serves a class and its mirror; the
+mirror's search would take the same steps, so truncation is unchanged
+(see ``_survivors``).  A class's mirror, inverse and mirror-inverse are
+classes of the same walk, each found by looking one member's transform
+up among the later classes.
 Candidates are separated by one key: rho, the canonical primitive based
 matrix phi, and the phi of each reduced r-covering.  The same key names
 a word in ``identify``.  Candidates sharing a key, with each other or
@@ -39,14 +43,17 @@ def increasing_gauss_words(n: int, skip_adjacent_doubles: bool = False):
     are dropped while generating: every nanoword over such a word loses
     the pair to a crossing-reducing move, so the census never needs them.
     """
-    if not 0 <= n <= 26:
-        raise ValueError("n must be between 0 and 26")
     for word in _gauss_words(n, skip_adjacent_doubles):
         yield "".join([_ALPHA[x] for x in word])
 
 
 def _gauss_words(n: int, skip_adjacent_doubles: bool):
-    """:func:`increasing_gauss_words` as letter-index tuples, state words."""
+    """:func:`increasing_gauss_words` as letter-index tuples, state words.
+
+    Raises ``ValueError`` on the call itself unless 0 <= n <= 26.
+    """
+    if not 0 <= n <= words.MAX_LETTERS:
+        raise ValueError(f"n must be between 0 and {words.MAX_LETTERS}")
     word: list[int] = []
     opened: list[int] = []  # letters that occurred once, ascending
 
@@ -67,7 +74,7 @@ def _gauss_words(n: int, skip_adjacent_doubles: bool):
             word.pop()
             opened.pop()
 
-    yield from rec(0)
+    return rec(0)
 
 
 def candidates(
@@ -93,6 +100,16 @@ def _survivors(n, max_members, max_steps):
     skipped too, as one shift gives it an adjacent XX.  A reducible start
     is no candidate.  ``tables`` holds the walk's word tables, each
     dropped once the walk passes its word.
+
+    The mirror ``(w, m ^ full)`` keeps a state's word, maps its shift
+    and 3-moves, in order, to the mirror's, and keeps reducibility (H1
+    takes any types, H2/H2a opposite ones).  So in ``mirrored`` a class
+    C found from ``mask`` files its mirror under the mirror's least mask,
+    ``full ^ max{m : (word, m) in C}``, to be yielded there with no test
+    or search, and a start stopped at a smaller word or a reducible
+    member files its mirror start as rejected; an entry at a mask passed
+    already is never read.  A skipped search would take as many steps as
+    its source's, or stop no later, so truncation is unchanged.
     """
     rotated: set[tuple[int, ...]] = set()
     tables = moves._Tables()
@@ -100,20 +117,29 @@ def _survivors(n, max_members, max_steps):
     for word in _gauss_words(n, skip_adjacent_doubles=True):
         if word not in rotated and not (word and word[0] == word[-1]):
             rotated.update(moves._relabel(word[p:] + word[:p])[0] for p in range(1, len(word)))
-            for mask in range(1 << n):
+            mirrored: dict[int, set | None] = {}
+            full = (1 << n) - 1
+            for mask in range(full + 1):
                 state = (word, mask)
-                if not moves._reducible_state(state, table_of):
-                    cls = _minimal_irreducible_class(state, table_of, max_members, max_steps)
-                    if cls is not None:
+                if mask in mirrored:
+                    if (cls := mirrored.pop(mask)) is not None:
+                        yield state, {(w, m ^ full) for w, m in cls}
+                elif not moves._reducible_state(state, table_of):
+                    cls, found = _minimal_irreducible_class(state, table_of, max_members, max_steps)
+                    if found is None:
                         yield state, cls
+                        mirrored[full ^ max(m for w, m in cls if w == word)] = cls
+                    elif found[0] < word or moves._reducible_state(found, table_of):
+                        mirrored[mask ^ full] = None
         rotated.discard(word)
         tables.pop(word, None)
 
 
 def _minimal_irreducible_class(start, table_of, max_members, max_steps):
-    """Guarded 3-class exploration from ``start``: the whole class, or None.
+    """Guarded 3-class exploration from ``start``: the states admitted,
+    and the member that stopped it or None when they are the whole class.
 
-    Aborts as soon as a member smaller than ``start`` or a reducible
+    Stops as soon as a member smaller than ``start`` or a reducible
     member appears, before reading that member's table.
     """
     def stop(s):
@@ -124,7 +150,7 @@ def _minimal_irreducible_class(start, table_of, max_members, max_steps):
     )
     if limit is not None:
         raise moves._truncation(f"3-class of {moves._decode(start)}", limit, max_members, max_steps)
-    return local if found is None else None
+    return local, found
 
 
 def _image_minima(survivors) -> dict[Nanoword, tuple[Nanoword, ...]]:
@@ -455,6 +481,7 @@ def build_census(
     warn=None,
 ) -> CensusTable:
     """Run the full pipeline for crossing numbers 0..max_n."""
+    _gauss_words(max_n, True)  # ValueError unless 0 <= max_n <= 26
     census = CensusTable(
         max_crossings=max_n,
         limits={"max_members": max_members, "max_steps": max_steps},

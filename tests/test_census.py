@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import hashlib
 import itertools
@@ -51,6 +52,12 @@ class TestGenerator:
         kept = list(cz.increasing_gauss_words(3, skip_adjacent_doubles=True))
         everything = list(cz.increasing_gauss_words(3))
         assert set(kept) == {w for w in everything if all(a != b for a, b in zip(w, w[1:]))}
+
+    @pytest.mark.parametrize("n", [-1, 27])
+    def test_depth_out_of_range(self, n):
+        for call in (cz.candidates, cz.build_census, lambda n: list(cz.increasing_gauss_words(n))):
+            with pytest.raises(ValueError, match="n must be between 0 and 26"):
+                call(n)
 
     def test_adjacent_doubles_reducible(self):
         # the optimization never discards an irreducible class
@@ -154,6 +161,54 @@ class TestCandidates:
             survivors, members = survivors + 1, members + len(cls)
         assert (survivors, members) == (182149, 3019626)
         assert digest.hexdigest() == "bc10926a3bfb9f849cf7712f193d3c1ae893a11e36c7890ddee8bd1858628283"
+
+    @pytest.mark.parametrize(
+        "n, limit, runs",
+        [
+            # (first value, last value, survivors yielded, word of the
+            # truncated 3-class or None), every value from 1 covered
+            (4, "members", [(1, 3, 0, "ABABCDCD:aaaa"), (4, 7, 1, "ABABCDCD:aabb"), (8, 15, 4, "ABACBDCD:aaab"), (16, 17, 26, None)]),
+            (4, "steps", [(1, 3, 0, "ABABCDCD:aaaa"), (4, 7, 1, "ABABCDCD:aabb"), (8, 25, 4, "ABACBDCD:aaab"), (26, 40, 26, None)]),
+            (5, "members", [(1, 19, 0, "ABABCDCEDE:aaaaa"), (20, 29, 7, "ABABCDCEDE:aabbb"), (30, 31, 400, None)]),
+            (5, "steps", [(1, 33, 0, "ABABCDCEDE:aaaaa"), (34, 57, 7, "ABABCDCEDE:aabbb"), (58, 70, 400, None)]),
+        ],
+    )
+    def test_pinned_truncations(self, n, limit, runs):
+        # the walk yields the same survivors before the same error under
+        # every small limit; pinned from the walk that searched each class
+        for first, last, yielded, word in runs:
+            for value in range(first, last + 1):
+                limits = {"max_members": mv.DEFAULT_MAX_MEMBERS, "max_steps": mv.DEFAULT_MAX_STEPS, f"max_{limit}": value}
+                got = []
+                with pytest.raises(mv.TruncationError) if word else contextlib.nullcontext() as err:
+                    got.extend(cz._survivors(n, **limits))
+                assert len(got) == yielded, (limit, value)
+                if word:
+                    assert err.value.limit == limit
+                    assert str(err.value) == f"3-class of {word} exceeded max_{limit}={value}"
+
+    def test_walk_closed_under_mirror(self, walks):
+        # the complement of a yielded class's type masks is the class of
+        # its mirror, and is yielded too
+        for n, (survivors, _) in walks.items():
+            full = (1 << n) - 1
+            classes = {frozenset(cls) for _, cls in survivors}
+            for cls in classes:
+                image = frozenset((w, m ^ full) for w, m in cls)
+                assert image in classes, n
+                if n <= 5:
+                    assert image == {mv._encode(transform(mv._decode(s), MIRROR)) for s in cls}
+
+    def test_search_counts(self, monkeypatch):
+        # one search for each mirror pair of classes, and none from the
+        # mirror of a start rejected at a smaller word or a reducible member
+        searched = []
+        explore = mv._explore
+        monkeypatch.setattr(mv, "_explore", lambda *args: searched.append(args[0]) or explore(*args))
+        for n, count in ((5, 361), (6, 5630)):
+            del searched[:]
+            assert list(cz._survivors(n, mv.DEFAULT_MAX_MEMBERS, mv.DEFAULT_MAX_STEPS))
+            assert len(searched) == count, n
 
     def test_walk_classes_disjoint(self, walks):
         # each class is yielded once, from its minimal member
