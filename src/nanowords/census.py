@@ -194,17 +194,20 @@ class Symmetry:
 
 @dataclass
 class StringRecord:
-    """One tabulated virtual string."""
+    """One tabulated virtual string; ``u`` is read off ``phi[:rho]``."""
 
     id: str
     nanoword: Nanoword
-    u: invariants.UPolynomial
+    u: invariants.UPolynomial = field(init=False)
     rho: int
     phi: tuple[int, ...]
     cover_phis: tuple[tuple[int, ...], ...]
     phi_display: tuple[int, ...]
     coverings: dict[int, str] = field(default_factory=dict)
     symmetry: Symmetry | None = None
+
+    def __post_init__(self):
+        self.u = invariants.u_of(self.phi[: self.rho])
 
     @property
     def crossings(self) -> int:
@@ -320,7 +323,6 @@ class Separation(NamedTuple):
     """What :func:`separate` computes for one irreducible word."""
 
     key: tuple
-    u: invariants.UPolynomial
     display: tuple[int, ...]
     covers: dict[int, Nanoword | None]
 
@@ -364,7 +366,7 @@ def separate(
     seq = [phis[r] for r in sorted(phis)] or [cf.phi]
     while len(seq) > 1 and seq[-1] == seq[-2]:
         seq.pop()
-    return Separation((cf.rho, cf.phi, tuple(seq)), invariants.u_of(stats), display, covers)
+    return Separation((cf.rho, cf.phi, tuple(seq)), display, covers)
 
 
 def lookup(
@@ -471,7 +473,7 @@ def _make_record(rid, nw, sep, prior, max_members, max_steps):
         r: "self" if red is None else entry_name(prior.entry_of(red, max_members, max_steps))
         for r, red in sep.covers.items()
     }
-    return StringRecord(rid, nw, sep.u, *sep.key, sep.display, coverings)
+    return StringRecord(rid, nw, *sep.key, sep.display, coverings)
 
 
 def build_census(

@@ -8,6 +8,7 @@ cache directory (default ``./census_cache``).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -21,47 +22,34 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_TRUNCATED = 2
 
-CACHE_VERSION = 3
+CACHE_VERSION = 4
 DEFAULT_CACHE = "census_cache"
 
 
 def _record_to_json(rec: cz.StringRecord) -> dict:
-    sym = None
-    if rec.symmetry is not None:
-        sym = {
-            "mirror": rec.symmetry.mirror_id,
-            "inverse": rec.symmetry.inverse_id,
-            "mirror_inverse": rec.symmetry.mirror_inverse_id,
-            "type": rec.symmetry.sym_type,
-        }
     return {
         "id": rec.id,
         "nanoword": str(rec.nanoword),
-        "u": [[k, c] for k, c in rec.u.coefficients],
         "rho": rec.rho,
         "phi": list(rec.phi),
         "phi_display": list(rec.phi_display),
         "cover_phis": [list(p) for p in rec.cover_phis],
         "coverings": {str(r): v for r, v in sorted(rec.coverings.items())},
-        "symmetry": sym,
+        "symmetry": None if rec.symmetry is None else dataclasses.asdict(rec.symmetry),
     }
 
 
 def _record_from_json(d: dict) -> cz.StringRecord:
-    sym = None
-    if d.get("symmetry"):
-        s = d["symmetry"]
-        sym = cz.Symmetry(s["mirror"], s["inverse"], s["mirror_inverse"], s["type"])
+    s = d.get("symmetry")
     return cz.StringRecord(
         id=d["id"],
         nanoword=parse_nanoword(d["nanoword"]),
-        u=invariants.UPolynomial(tuple((k, c) for k, c in d["u"])),
         rho=d["rho"],
         phi=tuple(d["phi"]),
         phi_display=tuple(d["phi_display"]),
         cover_phis=tuple(map(tuple, d["cover_phis"])),
         coverings={int(r): v for r, v in d.get("coverings", {}).items()},
-        symmetry=sym,
+        symmetry=cz.Symmetry(**s) if s else None,
     )
 
 
@@ -95,7 +83,7 @@ def save_census(census: cz.CensusTable, cache_dir: Path) -> None:
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     payload = census_to_json(census)
     try:
-        tmp.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+        tmp.write_text(json.dumps(payload, separators=(",", ":"), sort_keys=True) + "\n")
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -117,18 +105,15 @@ def load_census(cache_dir: Path, max_n: int) -> cz.CensusTable | None:
     A missing, unreadable or malformed file, one of another cache version,
     or one built to another depth is a miss.
     """
-    census = cz.CensusTable(max_crossings=max_n)
     try:
         data = json.loads(_cache_file(cache_dir, max_n).read_text())
         if data.get("version") != CACHE_VERSION or data.get("crossings") != max_n:
             return None
         records = [_record_from_json(d) for d in data["records"]]
         groups = [_group_from_json(g) for g in data.get("unresolved", [])]
-        census.limits = data.get("meta", {}).get("limits", census.limits)
+        return cz.CensusTable(max_n, records, groups, data.get("meta", {}).get("limits", {}))
     except (OSError, ValueError, LookupError, TypeError, AttributeError):
         return None
-    census.add(records, groups)
-    return census
 
 
 def obtain_census(args, max_n: int) -> cz.CensusTable:
@@ -188,7 +173,7 @@ def _usage_error(message) -> int:
 def cmd_invariants(args) -> int:
     nw = parse_nanoword(args.nanoword)
     stats = invariants.n_values(nw)
-    u = invariants.u_of(stats)
+    u = invariants.u_of(stats.n.values())
     cf, _, display = invariants._canonical(invariants.based_matrix(nw, stats))
     covers = {
         r: str(invariants.covering_raw(nw, r, stats))
@@ -368,7 +353,7 @@ def main(argv=None) -> int:
     except moves.TruncationError as e:
         print(f"error: truncated: {e}", file=sys.stderr)
         return EXIT_TRUNCATED
-    except (NanowordError, invariants.InvariantError) as e:
+    except (NanowordError, invariants.InvariantError, OSError) as e:
         return _usage_error(e)
     except SystemExit as e:
         print(e, file=sys.stderr)

@@ -159,13 +159,18 @@ class UPolynomial:
 
 
 def u_polynomial(nw: Nanoword) -> UPolynomial:
-    return u_of(n_values(nw))
+    return u_of(n_values(nw).n.values())
 
 
-def u_of(stats: LetterStats) -> UPolynomial:
-    """The u-polynomial read off already computed n-values."""
+def u_of(values) -> UPolynomial:
+    """The u-polynomial of n-values: u_k = #{v = k} - #{v = -k}.
+
+    The b(g, s) column of a word's primitive based matrix, ``phi[:rho]``,
+    gives the same u as the word's n-values: a reduction drops only
+    elements with b(g, s) = 0 and pairs with opposite b(g, s).
+    """
     coeffs: dict[int, int] = {}
-    for v in stats.n.values():
+    for v in values:
         if v > 0:
             coeffs[v] = coeffs.get(v, 0) + 1
         elif v < 0:

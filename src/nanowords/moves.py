@@ -466,17 +466,14 @@ def shift_rotate(nw: Nanoword) -> Nanoword:
 
 def _removal_instances(nw: Nanoword, kinds) -> list[MoveInstance]:
     word = nw.word
-    L = len(word)
     out = []
     if H1 in kinds:
-        for r in range(L - 1):
+        for r in range(len(word) - 1):
             if word[r] == word[r + 1]:
                 out.append(MoveInstance(H1, REMOVE, (r, r + 1), (word[r],)))
     if H2 in kinds or H2A in kinds:
         for x in nw.letters:
             i, j = nw.occurrences(x)
-            if i + 1 >= L:
-                continue
             y = word[i + 1]
             if y == x or nw.type_of(y) == nw.type_of(x):
                 continue
@@ -492,10 +489,7 @@ def _removal_instances(nw: Nanoword, kinds) -> list[MoveInstance]:
 
 def _fresh_letters(nw: Nanoword, k: int) -> tuple[str, ...]:
     used = set(nw.letters)
-    fresh = [x for x in _ALPHA if x not in used][:k]
-    if len(fresh) < k:
-        raise NanowordError("no fresh letters left")
-    return tuple(fresh)
+    return tuple(x for x in _ALPHA if x not in used)[:k]
 
 
 def _insertion_instances(nw: Nanoword, kinds) -> list[MoveInstance]:

@@ -305,7 +305,7 @@ def walks():
 
 
 def stub_record(rid):
-    return cz.StringRecord(rid, EMPTY, u_polynomial(EMPTY), 0, (), ((),), ())
+    return cz.StringRecord(rid, EMPTY, 0, (), ((),), ())
 
 
 class StubCensus:
@@ -569,10 +569,11 @@ def test_pinned_census_at_six_crossings(census6):
 
 
 def test_pinned_cache_bytes_at_five_crossings(tmp_path):
-    # the cache file is byte for byte the one earlier versions wrote
+    # the version-3 file without its u fields, with symmetry keyed by the
+    # Symmetry field names, at version 4, in compact JSON
     cli.save_census(cz.build_census(5), tmp_path)
     assert hashlib.sha256((tmp_path / "census_n5.json").read_bytes()).hexdigest() == (
-        "a8fb09687dd29175ffc928a6fdadc52bc179f5d6f4b67fa110399f8149b271dc"
+        "227e55d452be39494f0b2aad29e581bcf10c15f4d84390b497e29dd37bb87e70"
     )
 
 
@@ -674,7 +675,7 @@ class TestIndex:
 
     def test_group_takes_over_a_record_key(self):
         w1, w2, w3 = map(parse_nanoword, ("ABACBC:aab", "ABACBC:abb", "ABACBC:bbb"))
-        rec = cz.StringRecord("3.1", w1, u_polynomial(w1), 0, (1,), ((1,),), (1,))
+        rec = cz.StringRecord("3.1", w1, 0, (1,), ((1,),), (1,))
         group = cz.UnresolvedGroup((w1, w2), 0, (1,), ((1,),), (1,))
         other = cz.UnresolvedGroup((w1, w3), 0, (2,), ((2,),), (2,))
         census = cz.CensusTable(3)

@@ -1,4 +1,7 @@
 import json
+import re
+
+import pytest
 
 import nanowords.cli as cli
 
@@ -139,6 +142,65 @@ class TestEnumerateCommand:
         assert json.loads(path.read_text())["crossings"] == 3
         assert sorted(p.name for p in tmp_path.iterdir()) == ["census_n3.json"]
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("phi", [[1]]), ("rho", [3]), ("id", ["3.1"]), ("cover_phis", [[[1]]])],
+        ids=["phi", "rho", "id", "cover_phis"],
+    )
+    def test_malformed_record_is_a_miss(self, capsys, tmp_path, field, value):
+        # JSON that parses but holds a list where a scalar or tuple belongs
+        run(capsys, "enumerate", "--crossings", "3", "--cache", str(tmp_path))
+        path = tmp_path / "census_n3.json"
+        data = json.loads(path.read_text())
+        data["records"][1][field] = value
+        path.write_text(json.dumps(data))
+        args = ["identify", "ABACBC:aab", "--crossings", "3", "--cache", str(tmp_path)]
+        code, _, err = run(capsys, *args)
+        assert code == 1
+        assert "not cached" in err
+        assert "Traceback" not in err
+        code, out, _ = run(capsys, *args, "--compute")
+        assert (code, out.strip()) == (0, "3.1")
+        assert cli.load_census(tmp_path, 3).by_id("3.1").phi == (-2, 1, 1, 1, 2, 0)
+
+    def test_empty_symmetry_reads_as_unset(self, capsys, tmp_path):
+        run(capsys, "enumerate", "--crossings", "3", "--cache", str(tmp_path))
+        path = tmp_path / "census_n3.json"
+        data = json.loads(path.read_text())
+        data["records"][1]["symmetry"] = {}
+        path.write_text(json.dumps(data))
+        census = cli.load_census(tmp_path, 3)
+        assert census.by_id("3.1").symmetry is None
+        assert census.by_id("3.2").symmetry is not None
+
+    def test_version_3_file_is_a_miss(self, capsys, tmp_path):
+        run(capsys, "enumerate", "--crossings", "3", "--cache", str(tmp_path))
+        path = tmp_path / "census_n3.json"
+        data = json.loads(path.read_text())
+        assert data["version"] == 4 and "u" not in data["records"][1]
+        assert set(data["records"][1]["symmetry"]) == {
+            "mirror_id", "inverse_id", "mirror_inverse_id", "sym_type"
+        }
+        data["version"] = 3
+        path.write_text(json.dumps(data))
+        assert cli.load_census(tmp_path, 3) is None
+
+    def test_unusable_cache_path(self, capsys, tmp_path):
+        # a regular file where the cache directory, or one of its parents,
+        # should be
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        for argv in (
+            ["enumerate", "--crossings", "2", "--cache", str(blocker)],
+            ["tables", "2", "--compute", "--cache", str(blocker / "sub")],
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert str(blocker) in err
+        assert blocker.read_text() == ""
+
     def test_json_format(self, capsys, tmp_path):
         code, out, _ = run(
             capsys,
@@ -171,6 +233,14 @@ class TestEnumerateCommand:
         assert lines[1].startswith("3.1,ABACBC:aab,-t^2+2t,3,")
 
 
+@pytest.fixture(scope="module")
+def cache5(tmp_path_factory):
+    """A cache directory holding the census built to 5 crossings."""
+    path = tmp_path_factory.mktemp("cache5")
+    assert cli.main(["enumerate", "--crossings", "5", "--cache", str(path)]) == 0
+    return path
+
+
 class TestTablesCommand:
     def test_table2(self, capsys, tmp_path):
         code, out, _ = run(
@@ -178,6 +248,38 @@ class TestTablesCommand:
         )
         assert code == 0
         assert out.strip() == "0:1, 1:0, 2:0, 3:2, 4:26"
+
+    def test_table2_json(self, capsys, tmp_path):
+        code, out, _ = run(
+            capsys, "tables", "2", "--cache", str(tmp_path), "--compute", "--format", "json"
+        )
+        assert code == 0
+        assert json.loads(out) == {str(n): c for n, c in golden.TABLE2.items()}
+
+    def test_table4(self, capsys, cache5):
+        code, out, _ = run(capsys, "tables", "4", "--cache", str(cache5))
+        assert code == 0
+        rows = [line.split() for line in out.splitlines()[1:]]
+        assert len(rows) == 2 * len(golden.TABLE4)
+        firsts, seconds = rows[::2], rows[1::2]
+        assert [r[2] for r in seconds] == [r[2] for r in firsts]
+        assert [
+            ((w1, c1), (w2, c2), phi)
+            for (_, w1, phi, c1), (_, w2, _, c2) in zip(firsts, seconds)
+        ] == golden.TABLE4
+
+    def test_table5(self, capsys, cache5):
+        # the published groups, and the one extra pair the census reports
+        code, out, _ = run(capsys, "tables", "5", "--cache", str(cache5))
+        assert code == 0
+        got = set()
+        for line in out.splitlines()[1:]:
+            members, rho, phi = re.split(r" {2,}", line)
+            got.add((frozenset(members.split(" | ")), int(rho), phi))
+        published = {(frozenset(members), rho, phi) for members, rho, phi in golden.TABLE5}
+        assert published <= got
+        (extra,) = got - published
+        assert extra[0] == frozenset(golden.EXTRA_UNRESOLVED_PAIR)
 
     def test_missing_cache_without_compute(self, capsys, tmp_path):
         code, _, err = run(
@@ -253,6 +355,24 @@ class TestIdentifyCommand:
         )
         assert code == 0
         assert out.strip() == "unknown"
+
+    def test_insertion_search_truncated(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys,
+            "identify",
+            "ABACBC:aab",
+            "--crossings",
+            "3",
+            "--cache",
+            str(tmp_path),
+            "--compute",
+            "--insert-budget",
+            "1",
+            "--max-members",
+            "20",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: truncated: insertion search from ABACBC:aab exceeded max_members=20\n"
 
     def test_insert_budget_accepted(self, capsys, tmp_path):
         code, out, _ = run(

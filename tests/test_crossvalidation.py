@@ -8,15 +8,19 @@ these tests pin the identities that tie them together.
 import itertools
 import random
 
+import pytest
+
 import nanowords.census as cz
 import nanowords.moves as mv
 from nanowords.invariants import (
+    BasedMatrix,
     based_matrix,
+    canonical_form,
     reduce_based_matrix,
     string_phi,
     u_polynomial,
 )
-from nanowords.words import Nanoword
+from nanowords.words import INVERSE, MIRROR, MIRROR_INVERSE, Nanoword, transform
 
 import golden
 from conftest import random_nanoword
@@ -42,12 +46,64 @@ class TestUFromPrimitiveMatrix:
             prim = reduce_based_matrix(based_matrix(rec.nanoword))
             assert u_from_matrix(prim) == rec.u.coefficients
 
+    def test_record_u_is_the_words_u(self, census5):
+        # a record's u is read off phi[:rho]
+        for rec in census5.records:
+            assert rec.u == u_polynomial(rec.nanoword), rec.id
+
     def test_on_random_words(self):
         rng = random.Random(5150)
         for _ in range(400):
             nw = random_nanoword(rng, rng.choice([1, 2, 3, 4, 5, 6]))
             prim = reduce_based_matrix(based_matrix(nw))
             assert u_from_matrix(prim) == u_polynomial(nw).coefficients, nw
+
+
+def law_images(prim):
+    """The entries the transform laws give each image's primitive, from a
+    primitive B over s, g1 ... gk: D(B) keeps s and sets D(g, s) = -b(g, s)
+    and D(g, h) = b(g, h) + b(s, g) - b(s, h)."""
+    B = prim.entries
+    m = len(B)
+    D = [[0] * m for _ in range(m)]
+    for g in range(1, m):
+        D[g][0], D[0][g] = -B[g][0], B[g][0]
+        for h in range(1, m):
+            if h != g:
+                D[g][h] = B[g][h] + B[0][g] - B[0][h]
+
+    def neg(M):
+        return tuple(tuple(-v for v in row) for row in M)
+
+    D = tuple(map(tuple, D))
+    return {INVERSE: D, MIRROR: neg(D), MIRROR_INVERSE: neg(B)}
+
+
+def assert_transform_laws(nw):
+    # phi(inverse) = canon(D(B)), phi(mirror) = canon(-D(B)) and
+    # phi(mirror-inverse) = canon(-B), with B the primitive of nw
+    prim = reduce_based_matrix(based_matrix(nw))
+    for kind, entries in law_images(prim).items():
+        got = canonical_form(BasedMatrix(prim.labels, entries))
+        assert got == string_phi(transform(nw, kind)), (str(nw), kind)
+
+
+class TestTransformLaws:
+    def test_on_census5(self, census5):
+        assert len(census5.records) == 415
+        for rec in census5.records:
+            assert_transform_laws(rec.nanoword)
+
+    @pytest.mark.slow
+    def test_on_census6(self, census6):
+        for rec in census6.records:
+            assert_transform_laws(rec.nanoword)
+
+    def test_on_random_words(self):
+        rng = random.Random(2024)
+        for n in range(10):
+            for _ in range(300):
+                assert_transform_laws(random_nanoword(rng, n))
 
 
 class TestClassInvariance:

@@ -473,6 +473,14 @@ class TestReduce:
     def test_already_irreducible(self):
         assert str(reduce_to_irreducible(parse_nanoword("ABACBC:abb"))) == "ABACBC:abb"
 
+    def test_insertion_search_truncation(self):
+        # ABACBC:aab is irreducible, so the insertion search runs, and its
+        # move graph within one extra letter holds more than 20 states
+        with pytest.raises(TruncationError) as err:
+            reduce_to_irreducible(parse_nanoword("ABACBC:aab"), max_extra_letters=1, max_members=20)
+        assert err.value.limit == "members"
+        assert str(err.value) == "insertion search from ABACBC:aab exceeded max_members=20"
+
     def test_gauss_validity_preserved_along_reductions(self):
         rng = random.Random(17)
         for _ in range(60):
