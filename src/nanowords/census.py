@@ -145,7 +145,7 @@ def _minimal_irreducible_class(start, table_of, max_members, max_steps):
     def stop(s):
         return s < start or moves._reducible_state(s, table_of)
 
-    local, found, limit = moves._explore(
+    local, found, limit, _ = moves._explore(
         start, lambda s: moves._neighbors(s, table_of), stop, max_members, max_steps
     )
     if limit is not None:

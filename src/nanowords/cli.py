@@ -353,11 +353,8 @@ def main(argv=None) -> int:
     except moves.TruncationError as e:
         print(f"error: truncated: {e}", file=sys.stderr)
         return EXIT_TRUNCATED
-    except (NanowordError, invariants.InvariantError, OSError) as e:
+    except (NanowordError, invariants.InvariantError, OSError, SystemExit) as e:
         return _usage_error(e)
-    except SystemExit as e:
-        print(e, file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

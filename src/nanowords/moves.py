@@ -53,6 +53,10 @@ and ``identify``, and a walk owns its whole tables (``_Tables``).  A
 per-state step (``_neighbors``, ``_reducible_state``) looks its word's
 table up once, through ``table_of``, then only tests and moves bits of
 the state's type mask; nothing is sized by 2^n.
+
+``reduce_to_irreducible`` also files each irreducible 3-class it searches
+to the end in a bounded memo (``_CLASS_MEMO``): such a search admits the
+same members and makes the same steps from any start.
 """
 
 from __future__ import annotations
@@ -317,6 +321,14 @@ def _word_table(word: tuple[int, ...]) -> _WordTable:
     return _WordTable(word, pos, bit, shift, tuple(h3))
 
 
+# Irreducible 3-classes searched to the end, by member state: one (least
+# member, size, steps) per class.  Whole classes only; filing past the cap
+# empties the memo first.  About 135 bytes a state (the 4,765 states of
+# all census5 records' classes freed 640,000 traced bytes), so ~9 MB.
+_CLASS_MEMO_SIZE = 1 << 16
+_CLASS_MEMO: dict[State, tuple[Nanoword, int, int]] = {}
+
+
 class _Tables(dict):
     """Word tables built uncached on first use; their owner drops them."""
     def __missing__(self, word):
@@ -410,32 +422,32 @@ def _escape_successors(state: State, max_letters: int) -> list[State]:
 def _explore(start: State, successors, stop, max_members: int, max_steps: int):
     """Bounded breadth-first search over states from ``start``.
 
-    Returns ``(seen, found, limit)``: the distinct states admitted, the
-    first admitted state satisfying ``stop`` (``start`` included; never,
-    when ``stop`` is None) or None, and ``"members"``/``"steps"`` if that
-    limit ended the search early, else None.  A step is one generated
-    successor; the member limit is checked only when a new distinct state
-    would be admitted.
+    Returns ``(seen, found, limit, steps)``: the distinct states admitted,
+    the first admitted state satisfying ``stop`` (``start`` included;
+    never, when ``stop`` is None) or None, ``"members"``/``"steps"`` if
+    that limit ended the search early, else None, and the steps taken.  A
+    step is one generated successor; the member limit is checked only when
+    a new distinct state would be admitted.
     """
     seen = {start}
     if stop is not None and stop(start):
-        return seen, start, None
+        return seen, start, None, 0
     queue = deque([start])
     steps = 0
     while queue:
         for nxt in successors(queue.popleft()):
             steps += 1
             if steps > max_steps:
-                return seen, None, "steps"
+                return seen, None, "steps", steps
             if nxt in seen:
                 continue
             if len(seen) >= max_members:
-                return seen, None, "members"
+                return seen, None, "members", steps
             seen.add(nxt)
             if stop is not None and stop(nxt):
-                return seen, nxt, None
+                return seen, nxt, None, steps
             queue.append(nxt)
-    return seen, None, None
+    return seen, None, None, steps
 
 
 def _truncation(what: str, limit: str, max_members: int, max_steps: int, partial=None):
@@ -636,7 +648,7 @@ def three_class(
     so members are isomorphism classes.  Truncation is reported on the
     result, never raised.
     """
-    seen, _, limit = _explore(_encode(nw), _neighbors, None, max_members, max_steps)
+    seen, _, limit, _ = _explore(_encode(nw), _neighbors, None, max_members, max_steps)
     return ThreeClass(
         members=frozenset(_decode(s) for s in seen),
         min_member=_decode(min(seen)),
@@ -666,25 +678,38 @@ def reduce_to_irreducible(
     the input's homotopy class.  Distinct irreducible 3-classes of one
     homotopy class are not known to be impossible, so callers must compare
     results via invariants, not by word equality alone.
+
+    An irreducible class searched to the end is filed in a memo of at most
+    ``_CLASS_MEMO_SIZE`` states.  Such a search admits every member and
+    makes every step from any start, so on a filed member it stops short
+    iff size > ``max_members`` or steps > ``max_steps``; otherwise the
+    memo's least member is its answer.
     """
     state = _encode(nw)
     while True:
-        seen, found, limit = _explore(state, _neighbors, _reducible_state, max_members, max_steps)
-        if limit is not None:
-            current = _decode(state)
-            raise _truncation(f"3-class of {current}", limit, max_members, max_steps, current)
-        if found is not None:
-            state = _without(found, _removable_letters(found)[0])
-            continue
+        least, size, steps = _CLASS_MEMO.get(state, (None, 0, 0))
+        if least is None or size > max_members or steps > max_steps:
+            seen, found, limit, steps = _explore(state, _neighbors, _reducible_state, max_members, max_steps)
+            if limit is not None:
+                current = _decode(state)
+                raise _truncation(f"3-class of {current}", limit, max_members, max_steps, current)
+            if found is not None:
+                state = _without(found, _removable_letters(found)[0])
+                continue
+            least = _decode(min(seen))
+            if len(seen) <= _CLASS_MEMO_SIZE:
+                if len(_CLASS_MEMO) + len(seen) > _CLASS_MEMO_SIZE:
+                    _CLASS_MEMO.clear()
+                _CLASS_MEMO.update(dict.fromkeys(seen, (least, len(seen), steps)))
         if max_extra_letters <= 0:
-            return _decode(min(seen))
+            return least
         # the whole move graph within the letter budget, for a smaller word
         L = len(state[0])
         escape = functools.partial(_escape_successors, max_letters=min(L // 2 + max_extra_letters, MAX_LETTERS))
-        _, smaller, limit = _explore(state, escape, lambda s: len(s[0]) < L, max_members, max_steps)
+        _, smaller, limit, _ = _explore(state, escape, lambda s: len(s[0]) < L, max_members, max_steps)
         if limit is not None:
             current = _decode(state)
             raise _truncation(f"insertion search from {current}", limit, max_members, max_steps, current)
         if smaller is None:
-            return _decode(min(seen))
+            return least
         state = smaller

@@ -33,6 +33,12 @@ def census6():
     return cz.build_census(6, warn=lambda m: None)
 
 
+def clear_class_memo() -> None:
+    """Empty the memo of irreducible 3-classes that reductions fill, so a
+    test that counts searches or table builds starts from none."""
+    mv._CLASS_MEMO.clear()
+
+
 def random_nanoword(rng: random.Random, n: int) -> Nanoword:
     symbols = []
     for i in range(n):

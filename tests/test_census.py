@@ -27,7 +27,7 @@ from nanowords.words import (
 )
 
 import golden
-from conftest import disguise, random_renaming
+from conftest import clear_class_memo, disguise, random_renaming
 
 
 class TestGenerator:
@@ -263,6 +263,7 @@ class TestIdentify:
             return expand(s)
 
         monkeypatch.setattr(mv, "_neighbors", neighbors)
+        clear_class_memo()
         mv._word_table.cache_clear()
         mv._removal_table.cache_clear()
         assert [cz.identify(nw, census5) for nw in queries] == want
@@ -271,6 +272,29 @@ class TestIdentify:
         # no table was evicted, so each miss built a distinct word's table
         assert moved.currsize == moved.misses == len(expanded)
         assert tested.misses > moved.misses
+
+    def test_warm_memo_answers_as_cold(self, census5, monkeypatch):
+        # a filed class answers exactly as the search it replaces, also
+        # when an insertion escape runs from it
+        rng = random.Random(26)
+        records = rng.choices(census5.records, k=200)
+        queries = [
+            (random_renaming(rng, disguise(rng, r.nanoword, i % 4)), int(i % 40 == 0))
+            for i, r in enumerate(records)
+        ]
+        searches = []
+        explore = mv._explore
+        monkeypatch.setattr(mv, "_explore", lambda *args: searches.append(args[0]) or explore(*args))
+        cold = []
+        for nw, budget in queries:
+            clear_class_memo()
+            cold.append(mv.reduce_to_irreducible(nw, budget))
+        cold_searches = len(searches)
+        warm = [mv.reduce_to_irreducible(nw, budget) for nw, budget in queries]
+        assert warm == cold
+        assert len(searches) - cold_searches < cold_searches
+        want = [cz.identify(r.nanoword, census5) for r in records]
+        assert [cz.identify(nw, census5, insert_budget=b) for nw, b in queries] == want
 
     def test_ambiguous_against_census5(self, census5):
         name = cz.identify(parse_nanoword("ABABCDCEDE:aaaba"), census5)
@@ -495,6 +519,19 @@ class TestCensus5:
 
     def test_identify_idempotent_on_records(self, census5):
         assert_identify_idempotent(census5)
+
+    def test_every_small_nanoword_identifies(self, census5):
+        # each nanoword of up to 5 letters has crossing number at most 5,
+        # so it names a record or an unresolved group, never nothing
+        words = [
+            Nanoword(w, "".join(bits))
+            for n in range(6)
+            for w in cz.increasing_gauss_words(n)
+            for bits in itertools.product("ab", repeat=n)
+        ]
+        assert len(words) == sum(count(n, "nanowords") for n in range(6)) == 32055
+        unknown = [nw for nw in words if cz.identify(nw, census5) == "unknown"]
+        assert unknown == []
 
     def test_shared_covering_reductions(self, census5):
         # one covering -> reduced dict across many words, as distinguish

@@ -125,6 +125,7 @@ class TestEnumerateCommand:
         )
         assert code == 1
         assert "not cached" in err
+        assert err.startswith("error: census up to ") and err.count("\n") == 1
         assert "Traceback" not in err
         code, out, err = run(
             capsys,
@@ -158,6 +159,7 @@ class TestEnumerateCommand:
         code, _, err = run(capsys, *args)
         assert code == 1
         assert "not cached" in err
+        assert err.startswith("error: census up to ") and err.count("\n") == 1
         assert "Traceback" not in err
         code, out, _ = run(capsys, *args, "--compute")
         assert (code, out.strip()) == (0, "3.1")
@@ -287,6 +289,7 @@ class TestTablesCommand:
         )
         assert code == 1
         assert "not cached" in err
+        assert err.startswith("error: census up to ") and err.count("\n") == 1
 
     def test_table3(self, capsys, tmp_path):
         code, out, _ = run(
@@ -307,6 +310,7 @@ class TestTablesCommand:
         code, _, err = run(capsys, *args)
         assert code == 1
         assert "not cached" in err
+        assert err.startswith("error: census up to ") and err.count("\n") == 1
         code, out, _ = run(capsys, *args, "--compute")
         assert code == 0
         assert [tuple(line.split()) for line in out.splitlines()[1:]] == golden.TABLE3

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import random
@@ -6,6 +7,7 @@ import re
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import nanowords.moves as mv
 from nanowords.census import candidates, increasing_gauss_words
 from nanowords.moves import (
     ALL_KINDS,
@@ -41,7 +43,7 @@ from nanowords.words import (
     transform,
 )
 
-from conftest import random_nanoword, random_renaming
+from conftest import clear_class_memo, random_nanoword, random_renaming
 from test_words import nanowords
 
 
@@ -388,6 +390,7 @@ class TestWordTables:
     def test_reducible_starts_build_no_move_table(self, text):
         # every start on the way down is reducible, so no state is
         # expanded and only removal tables are read
+        clear_class_memo()
         before, tested = _word_table.cache_info(), _removal_table.cache_info()
         assert reduce_to_irreducible(parse_nanoword(text)) == EMPTY
         assert _word_table.cache_info() == before
@@ -480,6 +483,56 @@ class TestReduce:
             reduce_to_irreducible(parse_nanoword("ABACBC:aab"), max_extra_letters=1, max_members=20)
         assert err.value.limit == "members"
         assert str(err.value) == "insertion search from ABACBC:aab exceeded max_members=20"
+
+    def test_truncation_same_on_a_warm_memo(self):
+        # ABACBC:aab is irreducible, and its 3-class has 6 members with one
+        # step each; a class its search filed answers only under limits
+        # that a fresh search would not hit, so every error is unchanged
+        nw = parse_nanoword("ABACBC:aab")
+
+        def outcome(limits):
+            try:
+                return str(reduce_to_irreducible(nw, **limits))
+            except TruncationError as err:
+                return err.limit, str(err), err.partial
+
+        grid = [{}, *({"max_members": m} for m in range(1, 9)), *({"max_steps": s} for s in range(1, 9))]
+        grid += [{"max_members": m, "max_steps": s} for m, s in itertools.product(range(1, 9), repeat=2)]
+        for limits in grid:
+            members, steps = limits.get("max_members", 10**6), limits.get("max_steps", 10**7)
+            if members >= 6 and steps >= 6:
+                want = "ABACBC:aab"
+            else:
+                limit, value = ("members", members) if members < 6 and members <= steps else ("steps", steps)
+                want = limit, f"3-class of ABACBC:aab exceeded max_{limit}={value}", nw
+            clear_class_memo()
+            cold = outcome(limits)
+            reduce_to_irreducible(nw)
+            assert _encode(nw) in mv._CLASS_MEMO
+            assert outcome(limits) == cold == want, limits
+
+    def test_memo_holds_whole_classes_within_its_cap(self, monkeypatch):
+        # the irreducible 3-classes of the 5-crossing candidates have 2 to
+        # 30 members; under a cap of 25 states the memo is cleared many
+        # times and never files the classes that alone pass it
+        monkeypatch.setattr(mv, "_CLASS_MEMO_SIZE", 25)
+        clear_class_memo()
+        sizes, cleared = [], 0
+        for nw in candidates(5):
+            before = len(mv._CLASS_MEMO)
+            assert reduce_to_irreducible(nw) == nw
+            cleared += len(mv._CLASS_MEMO) < before
+            assert len(mv._CLASS_MEMO) <= 25
+            classes = collections.defaultdict(set)
+            for s, entry in mv._CLASS_MEMO.items():
+                classes[entry].add(s)
+            for (least, size, steps), members in classes.items():
+                assert members == {_encode(m) for m in three_class(least).members}
+                assert (size, steps) == (len(members), sum(len(_neighbors(s)) for s in members))
+            size = len(three_class(nw).members)
+            assert (_encode(nw) in mv._CLASS_MEMO) == (size <= 25)
+            sizes.append(size)
+        assert cleared > 10 and min(sizes) < 25 < max(sizes)
 
     def test_gauss_validity_preserved_along_reductions(self):
         rng = random.Random(17)
