@@ -223,25 +223,27 @@ def cmd_tables(args) -> int:
     if args.crossings is not None:
         max_n = args.crossings
     census = obtain_census(args, max_n)
-    tables = cz.build_tables(census)
+    table = (cz.table1, cz.table2, cz.table3, cz.table4, cz.table5)[args.table - 1](census)
     if args.table == 1:
-        _emit_rows(tables["table1"], ["id", "nanoword", "u", "rho", "phi"], args.format, sys.stdout)
+        _emit_rows(table, ["id", "nanoword", "u", "rho", "phi"], args.format, sys.stdout)
     elif args.table == 2:
-        counts = tables["table2"]
         if args.format == "json":
-            print(json.dumps(counts))
+            print(json.dumps(table))
+        elif args.format == "csv":
+            rows = [{"crossings": n, "count": c} for n, c in table.items()]
+            _emit_rows(rows, ["crossings", "count"], args.format, sys.stdout)
         else:
-            print(", ".join(f"{n}:{c}" for n, c in counts.items()))
+            print(", ".join(f"{n}:{c}" for n, c in table.items()))
     elif args.table == 3:
         columns = ["id", "mirror", "inverse", "mirror_inverse", "type"]
-        _emit_rows(tables["table3"], columns, args.format, sys.stdout)
+        _emit_rows(table, columns, args.format, sys.stdout)
     elif args.table == 4:
-        rows = [r for grp in tables["table4"] for r in grp]
+        rows = [r for grp in table for r in grp]
         _emit_rows(rows, ["id", "nanoword", "phi", "cover2"], args.format, sys.stdout)
     else:
         rows = [
             {"members": " | ".join(g["members"]), "rho": g["rho"], "phi": g["phi"]}
-            for g in tables["table5"]
+            for g in table
         ]
         _emit_rows(rows, ["members", "rho", "phi"], args.format, sys.stdout)
     return EXIT_OK

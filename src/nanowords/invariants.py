@@ -438,36 +438,6 @@ def _theta_at(B, ids: list[int]) -> tuple[int, ...]:
     return tuple(B[ids[i]][ids[j]] for j in range(m) for i in range(j + 1, m))
 
 
-def _min_theta(bm: BasedMatrix, classes: list[list[int]]):
-    # Minimize theta over orderings that keep s first and each class in a
-    # contiguous block, searching all within-class permutations.  The DFS
-    # places one element at a time and prunes on the contiguous theta
-    # prefix known so far: column 1 is fixed by the class layout, and with
-    # k elements placed column 2 is known down to row k+1.
-    B = bm.entries
-    col1 = tuple(B[g][0] for cls in classes for g in cls)
-    best: list = [None, None]
-
-    def rec(ci: int, pool: list[int], order: list[int]):
-        # ``pool``: what is left of the class before ``classes[ci]``
-        if best[0] is not None and len(order) >= 2:
-            prefix = col1 + tuple(B[g][order[0]] for g in order[1:])
-            if prefix > best[0][: len(prefix)]:
-                return
-        if pool:
-            for g in pool:
-                rec(ci, [h for h in pool if h != g], order + [g])
-        elif ci < len(classes):
-            rec(ci + 1, classes[ci], order)
-        else:
-            t = _theta_at(B, [0] + order)
-            if best[0] is None or t < best[0]:
-                best[:] = t, [0] + order
-
-    rec(0, [], [])
-    return best[0], tuple(bm.labels[i] for i in best[1])
-
-
 def canonical_form(bm: BasedMatrix) -> CanonicalPBM:
     """phi of the primitive reduction of ``bm`` (reducing defensively)."""
     return _canonical(bm)[0]
@@ -481,16 +451,21 @@ def canonical_order(bm: BasedMatrix) -> tuple[str, ...]:
 def _canonical(bm: BasedMatrix):
     """phi, the order realizing it and, from the same reduction, the
     display tuple: theta of the primitive in the order s, then the
-    element classes one after another (:func:`display_theta`)."""
+    element classes one after another (:func:`display_theta`).  phi is
+    the least theta over the orderings that keep s first and each class
+    in one block, enumerated only when a class is tied: 36 of the 429
+    primitive matrices built up to 5 crossings, 711 of 8,254 up to 6,
+    15,071 of 190,403 up to 7, at most 5,040 orderings.  Classes ascend,
+    so the orderings come lexicographically: the first minimal one wins."""
     prim = reduce_based_matrix(bm)
     classes = _element_classes(prim)
     ids = [0] + [g for cls in classes for g in cls]
     display = _theta_at(prim.entries, ids)
-    if len(classes) == len(ids) - 1:  # singletons: the class order is the only one
-        t, order = display, tuple(prim.labels[i] for i in ids)
-    else:
-        t, order = _min_theta(prim, classes)
-    return CanonicalPBM(rho=prim.size - 1, phi=t), order, display
+    t = display  # with singleton classes the class order is the only one
+    if len(classes) < len(ids) - 1:
+        orders = ([0, *itertools.chain(*p)] for p in itertools.product(*map(itertools.permutations, classes)))
+        t, ids = min((_theta_at(prim.entries, o), o) for o in orders)
+    return CanonicalPBM(rho=prim.size - 1, phi=t), tuple(prim.labels[i] for i in ids), display
 
 
 def string_phi(nw: Nanoword) -> CanonicalPBM:

@@ -258,6 +258,30 @@ class TestTablesCommand:
         assert code == 0
         assert json.loads(out) == {str(n): c for n, c in golden.TABLE2.items()}
 
+    def test_table2_csv(self, capsys, tmp_path):
+        code, out, _ = run(
+            capsys, "tables", "2", "--cache", str(tmp_path), "--compute", "--format", "csv"
+        )
+        assert code == 0
+        assert out.splitlines() == ["crossings,count"] + [f"{n},{c}" for n, c in golden.TABLE2.items()]
+
+    def test_table2_builds_no_other_table(self, capsys, tmp_path, monkeypatch):
+        def fail(census):
+            raise AssertionError("built a table that was not asked for")
+
+        for n in (1, 3, 4, 5):
+            monkeypatch.setattr(cli.cz, f"table{n}", fail)
+        expected = {
+            "text": "0:1, 1:0, 2:0, 3:2, 4:26\n",
+            "csv": "crossings,count\r\n0,1\r\n1,0\r\n2,0\r\n3,2\r\n4,26\r\n",
+            "json": '{"0": 1, "1": 0, "2": 0, "3": 2, "4": 26}\n',
+        }
+        for fmt, text in expected.items():
+            code, out, _ = run(
+                capsys, "tables", "2", "--cache", str(tmp_path), "--compute", "--format", fmt
+            )
+            assert (code, out) == (0, text)
+
     def test_table4(self, capsys, cache5):
         code, out, _ = run(capsys, "tables", "4", "--cache", str(cache5))
         assert code == 0

@@ -20,7 +20,15 @@ from nanowords.invariants import (
     string_phi,
     u_polynomial,
 )
-from nanowords.words import INVERSE, MIRROR, MIRROR_INVERSE, Nanoword, transform
+from nanowords.words import (
+    INVERSE,
+    MIRROR,
+    MIRROR_INVERSE,
+    Nanoword,
+    flip_type,
+    normalize_increasing,
+    transform,
+)
 
 import golden
 from conftest import random_nanoword
@@ -60,9 +68,9 @@ class TestUFromPrimitiveMatrix:
 
 
 def law_images(prim):
-    """The entries the transform laws give each image's primitive, from a
-    primitive B over s, g1 ... gk: D(B) keeps s and sets D(g, s) = -b(g, s)
-    and D(g, h) = b(g, h) + b(s, g) - b(s, h)."""
+    """The entries the transform laws give each image's matrix, from a
+    based matrix B over s, g1 ... gk, primitive or not: D(B) keeps s and
+    sets D(g, s) = -b(g, s) and D(g, h) = b(g, h) + b(s, g) - b(s, h)."""
     B = prim.entries
     m = len(B)
     D = [[0] * m for _ in range(m)]
@@ -104,6 +112,28 @@ class TestTransformLaws:
         for n in range(10):
             for _ in range(300):
                 assert_transform_laws(random_nanoword(rng, n))
+
+    def test_entrywise_on_every_word_up_to_four_letters(self):
+        # the laws before reduction and canonicalization: the image's
+        # unreduced based matrix over the renaming of its normalization
+        words = entries = 0
+        for n in range(5):
+            for w in cz.increasing_gauss_words(n):
+                for bits in itertools.product("ab", repeat=n):
+                    nw = Nanoword(w, "".join(bits))
+                    B = based_matrix(nw)
+                    for kind, expected in law_images(B).items():
+                        # words.transform, keeping the renaming
+                        word = nw.word if kind == MIRROR else nw.word[::-1]
+                        types = nw.types if kind == MIRROR_INVERSE else "".join(map(flip_type, nw.types))
+                        image, rename = normalize_increasing(Nanoword(word, types))
+                        assert image == transform(nw, kind)
+                        C = based_matrix(image)
+                        at = [0] + [C.labels.index(rename[x]) for x in B.labels[1:]]
+                        assert tuple(tuple(C.entries[i][j] for j in at) for i in at) == expected, (str(nw), kind)
+                        entries += len(at) ** 2
+                    words += 1
+        assert (words, entries) == (1815, 132111)
 
 
 class TestClassInvariance:

@@ -5,7 +5,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import nanowords.census as cz
 import nanowords.invariants as inv
+import nanowords.moves as mv
 from nanowords.invariants import (
     BasedMatrix,
     InvariantError,
@@ -323,6 +325,29 @@ class TestMProfile:
             m_profile(self.bm, "s")
 
 
+def reference_canonical(bm):
+    """(phi, order, display) of ``bm``'s primitive by an explicit loop over
+    every ordering of its elements.  An ordering is admissible when it
+    keeps s first and the elements of equal (b(g, s), m-profile) in one
+    block, blocks by ascending key.  The first admissible ordering gives
+    the display tuple; the first strict minimum of theta gives phi and
+    its order."""
+    prim = reduce_based_matrix(bm)
+    key = {g: (prim.b(g, "s"), m_profile(prim, g)) for g in prim.labels[1:]}
+    blocks = sorted(key.values())
+    display = best = None
+    for perm in itertools.permutations(prim.labels[1:]):
+        if [key[g] for g in perm] != blocks:
+            continue
+        order = ("s",) + perm
+        t = theta([[prim.b(g, h) for h in order] for g in order])
+        if display is None:
+            display = t
+        if best is None or t < best[0]:
+            best = t, order
+    return best[0], best[1], display
+
+
 class TestCanonicalForm:
     def test_worked_example(self):
         bm = BasedMatrix(golden.WORKED_EXAMPLE_LABELS, golden.WORKED_EXAMPLE_MATRIX)
@@ -352,7 +377,7 @@ class TestCanonicalForm:
         assert cf.rho == 4
         assert cf == canonical_form(based_matrix(parse_nanoword("ABABCDCD:aabb")))
 
-    def test_pruning_matches_bruteforce(self):
+    def test_canonical_matches_reference_on_seeded_matrices(self):
         rng = random.Random(12)
         for _ in range(150):
             size = rng.choice([2, 3, 4, 5])
@@ -365,24 +390,8 @@ class TestCanonicalForm:
                 tuple(["s"] + [f"e{i}" for i in range(1, size)]),
                 tuple(tuple(row) for row in m),
             )
-            prim = reduce_based_matrix(bm)
-            classes = inv._element_classes(prim)
-            pruned, _ = inv._min_theta(prim, classes)
-            brute = min(
-                theta(
-                    [
-                        [prim.entries[g][h] for h in order]
-                        for g in order
-                    ]
-                )
-                for order in (
-                    [0, *sum((list(p) for p in perms), [])]
-                    for perms in itertools.product(
-                        *[list(itertools.permutations(c)) for c in classes]
-                    )
-                )
-            ) if classes else ()
-            assert pruned == brute
+            cf, order, display = inv._canonical(bm)
+            assert (cf.phi, order, display) == reference_canonical(bm)
 
     @settings(deadline=None)
     @given(type_variants())
@@ -413,7 +422,7 @@ class TestCanonicalForm:
     def test_display_differs_only_on_tied_classes(self, census5):
         # up to 5 crossings display and phi differ on six records, and each
         # one's primitive matrix has an element class of two or more: the
-        # only case in which the ordering search runs
+        # only case in which the class orderings are enumerated
         differ = [r for r in census5.records if r.phi != r.phi_display]
         assert [r.id for r in differ] == ["4.1", "5.16", "5.21", "5.136", "5.141", "5.156"]
         for rec in differ:
@@ -421,13 +430,11 @@ class TestCanonicalForm:
             assert max(map(len, inv._element_classes(prim))) >= 2, rec.id
 
     def test_canonical_matches_search_on_census(self, census5):
-        # _canonical skips the depth-first search when every class is a
-        # singleton; _min_theta stays the reference
+        # _canonical enumerates no orderings when every class is a singleton
         for rec in census5.records:
             bm = based_matrix(rec.nanoword)
-            prim = reduce_based_matrix(bm)
-            cf, order, _ = inv._canonical(bm)
-            assert (cf.phi, order) == inv._min_theta(prim, inv._element_classes(prim)), rec.id
+            cf, order, display = inv._canonical(bm)
+            assert (cf.phi, order, display) == reference_canonical(bm), rec.id
 
     @settings(deadline=None)
     @given(st.integers(min_value=1, max_value=7), st.data())
@@ -444,8 +451,21 @@ class TestCanonicalForm:
         bm = BasedMatrix(labels, theta_inverse(tuple(entries), size))
         prim = reduce_based_matrix(bm)
         cf, order, display = inv._canonical(bm)
-        assert (cf.phi, order) == inv._min_theta(prim, inv._element_classes(prim))
+        assert (cf.phi, order, display) == reference_canonical(bm)
         assert cf.rho == prim.size - 1 and cf.phi <= display
+
+    @pytest.mark.slow
+    def test_pinned_at_seven_crossings(self):
+        # rho, phi, its order and the display tuple of the 182,149 depth-7
+        # survivors, streamed
+        digest, lines = hashlib.sha256(), 0
+        for s, _ in cz._survivors(7, cz.DEFAULT_MAX_MEMBERS, cz.DEFAULT_MAX_STEPS):
+            nw = mv._decode(s)
+            cf, order, display = inv._canonical(based_matrix(nw))
+            digest.update(f"{nw} {cf.rho} {phi_string(cf.phi)} {','.join(order)} {phi_string(display)}\n".encode())
+            lines += 1
+        assert lines == 182149
+        assert digest.hexdigest() == "1831ef0eba7ce005b49b98d9de6acde00642df063803ca7fc95341dc55cfaf5d"
 
 
 def literal_candidates(bm):
