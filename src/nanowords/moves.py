@@ -44,19 +44,21 @@ naming the limit and its value.  The public string-level API
 reference the ``State`` successors are tested against.
 
 The move structure is computed once per Gauss word, not per state, as a
-few type masks per pattern.  A reducibility test reads a word's H1/H2/H2a
-patterns (``_removal_table``); expanding a state reads its whole table
-(``_word_table``), which adds the shifted word and each H3-family match
-with its swapped word.  Tables are kept, as a search visits many type
-assignments of few words: a bounded cache per part serves single searches
-and ``identify``, and a walk owns its whole tables (``_Tables``).  A
-per-state step (``_neighbors``, ``_reducible_state``) looks its word's
-table up once, through ``table_of``, then only tests and moves bits of
-the state's type mask; nothing is sized by 2^n.
+few type masks per pattern.  ``three_class`` tests reducibility by a
+word's H1/H2/H2a patterns (``_removal_table``); expanding a state reads
+its whole table (``_word_table``), which adds the shifted word and each
+H3-family match with its swapped word.  Each part has a bounded cache
+for single searches and ``identify``; a walk owns its whole tables
+(``_Tables``) and reads both parts from them.  A per-state step
+(``_neighbors``, ``_reducible_state``) looks its word's table up once,
+through ``table_of``, then only tests and moves bits of the state's type
+mask; nothing is sized by 2^n.
 
-``reduce_to_irreducible`` also files each irreducible 3-class it searches
-to the end in a bounded memo (``_CLASS_MEMO``): such a search admits the
-same members and makes the same steps from any start.
+``reduce_to_irreducible`` meets mostly words no other query shares, so it
+finds removals by a scan with no table (``_first_removal``), both on its
+round starts and in its 3-class searches.  It files each irreducible
+3-class it searches to the end in a bounded memo (``_CLASS_MEMO``): such
+a search admits the same members and makes the same steps from any start.
 """
 
 from __future__ import annotations
@@ -364,8 +366,33 @@ def _reducible_state(state: State, table_of=_removal_table) -> bool:
     return bool(table.h1)
 
 
+def _first_removal(state: State) -> tuple[int, ...] | None:
+    """``_removable_letters(state)[0]`` or None, by one scan and no table.
+    An H2/H2a pair is x, x + 1: the letter new right after x's first."""
+    word, m = state
+    n = len(word) // 2
+    first, second = [0] * n, [0] * n
+    new = prev = -1
+    for i, x in enumerate(word):
+        if x == prev:
+            return (x,)
+        if x > new:
+            first[x], new = i, x
+        else:
+            second[x] = i
+        prev = x
+    for x in range(n - 1):
+        if word[first[x] + 1] == x + 1 and second[x + 1] - second[x] in (1, -1) and m >> n - 2 - x & 3 in (1, 2):
+            return x, x + 1
+    return None
+
+
 def _without(state: State, letters) -> State:
-    return _norm([x for x in state[0] if x not in letters], _types(state))
+    """``state`` less one removal's letters, x or x and x + 1: the later
+    letters and their type bits move down by k = len(letters)."""
+    (word, m), x, k = state, letters[0], len(letters)
+    r = len(word) // 2 - x - k  # the letters after the removed ones
+    return tuple([v - k if v > x else v for v in word if v not in letters]), m >> (r + k) << r | m & ((1 << r) - 1)
 
 
 def _removals(state: State) -> list[State]:
@@ -666,9 +693,9 @@ def reduce_to_irreducible(
 ) -> Nanoword:
     """Greedy descent to an irreducible 3-class; returns its minimal member.
 
-    Explores the current 3-class; as soon as a reducible member appears,
-    its first crossing-reducing move is applied and the search restarts
-    from the smaller word.  Terminates because the letter count strictly
+    A reducible start loses its first removal on the spot; an irreducible
+    one has its 3-class explored until a reducible member appears, which
+    starts the next round.  Terminates because the letter count strictly
     decreases on every round.  With ``max_extra_letters > 0`` an
     irreducible class is additionally probed through insertion moves
     (bounded by the budget) for an escape to a smaller word; the default
@@ -687,14 +714,17 @@ def reduce_to_irreducible(
     """
     state = _encode(nw)
     while True:
+        if (letters := _first_removal(state)) is not None:
+            state = _without(state, letters)
+            continue
         least, size, steps = _CLASS_MEMO.get(state, (None, 0, 0))
         if least is None or size > max_members or steps > max_steps:
-            seen, found, limit, steps = _explore(state, _neighbors, _reducible_state, max_members, max_steps)
+            seen, found, limit, steps = _explore(state, _neighbors, _first_removal, max_members, max_steps)
             if limit is not None:
                 current = _decode(state)
                 raise _truncation(f"3-class of {current}", limit, max_members, max_steps, current)
             if found is not None:
-                state = _without(found, _removable_letters(found)[0])
+                state = found
                 continue
             least = _decode(min(seen))
             if len(seen) <= _CLASS_MEMO_SIZE:

@@ -248,21 +248,26 @@ class TestIdentify:
         assert time.process_time() - start < 1.0
 
     def test_move_tables_only_for_expanded_words(self, census5, monkeypatch):
-        # identify tests far more words for reducibility than it expands,
-        # and builds a whole word table only for a word whose state it
-        # expands; the tested words are served by the removal tables
+        # identify scans far more words for a removal than it expands,
+        # builds a whole word table only for a word whose state it
+        # expands, and never builds a removal table
         rng = random.Random(16)
         records = rng.choices(census5.records, k=200)
         queries = [random_renaming(rng, disguise(rng, r.nanoword, i % 4)) for i, r in enumerate(records)]
         want = [cz.identify(r.nanoword, census5) for r in records]
-        expanded = set()
-        expand = mv._neighbors
+        expanded, scanned = set(), set()
+        expand, scan = mv._neighbors, mv._first_removal
 
         def neighbors(s):
             expanded.add(s[0])
             return expand(s)
 
+        def first_removal(s):
+            scanned.add(s[0])
+            return scan(s)
+
         monkeypatch.setattr(mv, "_neighbors", neighbors)
+        monkeypatch.setattr(mv, "_first_removal", first_removal)
         clear_class_memo()
         mv._word_table.cache_clear()
         mv._removal_table.cache_clear()
@@ -271,7 +276,8 @@ class TestIdentify:
         expanded.discard(())  # the empty word has no moves and no table
         # no table was evicted, so each miss built a distinct word's table
         assert moved.currsize == moved.misses == len(expanded)
-        assert tested.misses > moved.misses
+        assert tested.misses == 0
+        assert expanded < scanned
 
     def test_warm_memo_answers_as_cold(self, census5, monkeypatch):
         # a filed class answers exactly as the search it replaces, also

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import nanowords.moves as mv
-from nanowords.census import candidates, increasing_gauss_words
+from nanowords.census import _gauss_words, candidates, increasing_gauss_words
 from nanowords.moves import (
     ALL_KINDS,
     H3_KINDS,
@@ -18,6 +18,7 @@ from nanowords.moves import (
     _decode,
     _encode,
     _escape_successors,
+    _first_removal,
     _h3_matches,
     _neighbors,
     _reducible_state,
@@ -25,6 +26,7 @@ from nanowords.moves import (
     _removal_table,
     _removals,
     _transform_state,
+    _without,
     _word_table,
     applicable_moves,
     apply_move,
@@ -43,7 +45,7 @@ from nanowords.words import (
     transform,
 )
 
-from conftest import clear_class_memo, random_nanoword, random_renaming
+from conftest import clear_class_memo, disguise, random_nanoword, random_renaming
 from test_words import nanowords
 
 
@@ -388,13 +390,40 @@ class TestWordTables:
 
     @pytest.mark.parametrize("text", ["ABBA:ab", "ABAB:ba", "ABCDDCBA:abab", "ABCDCDAB:abab"])
     def test_reducible_starts_build_no_move_table(self, text):
-        # every start on the way down is reducible, so no state is
-        # expanded and only removal tables are read
-        clear_class_memo()
-        before, tested = _word_table.cache_info(), _removal_table.cache_info()
+        # every start on the way down is reducible, so each round scans
+        # its start and removes on the spot: with the empty word's class
+        # filed, no table of either kind is built or even read
+        reduce_to_irreducible(EMPTY)
+        before = _word_table.cache_info(), _removal_table.cache_info()
         assert reduce_to_irreducible(parse_nanoword(text)) == EMPTY
-        assert _word_table.cache_info() == before
-        assert _removal_table.cache_info() != tested
+        assert (_word_table.cache_info(), _removal_table.cache_info()) == before
+
+
+def _removal_agreement(max_letters):
+    """Check the table-free removal against the tables on every state of
+    at most ``max_letters`` letters, and count the states."""
+    count = 0
+    for n in range(max_letters + 1):
+        for word in _gauss_words(n, False):
+            for m in range(1 << n):
+                s = (word, m)
+                removable = _removable_letters(s)
+                assert _first_removal(s) == (removable[0] if removable else None), s
+                for letters in removable:
+                    # the reference renumbering: drop, then renormalize
+                    want = mv._norm([x for x in word if x not in letters], mv._types(s))
+                    assert _without(s, letters) == want, (s, letters)
+                count += 1
+    return count
+
+
+class TestFirstRemoval:
+    def test_agrees_with_tables_up_to_five_letters(self):
+        assert _removal_agreement(5) == 32055
+
+    @pytest.mark.slow
+    def test_agrees_with_tables_up_to_six_letters(self):
+        assert _removal_agreement(6) == 697335
 
 
 # --- 3-classes -----------------------------------------------------------
@@ -533,6 +562,32 @@ class TestReduce:
             assert (_encode(nw) in mv._CLASS_MEMO) == (size <= 25)
             sizes.append(size)
         assert cleared > 10 and min(sizes) < 25 < max(sizes)
+
+    @pytest.mark.parametrize("text", ["ABCDDCBA:abab", "ABCDCDAB:abab"])
+    def test_reducible_starts_never_truncate(self, text):
+        # every round starts on a reducible word, removed before any
+        # search, and the empty word's search takes no step
+        clear_class_memo()
+        assert reduce_to_irreducible(parse_nanoword(text), max_members=1, max_steps=0) == EMPTY
+
+    def test_reductions_pinned(self, census5):
+        # every nanoword of up to four letters and 2,000 disguised census5
+        # records, hashed with their reductions: the removal order decides
+        # which irreducible 3-class a word reaches
+        clear_class_memo()
+        words = [
+            Nanoword(w, "".join(bits))
+            for n in range(5)
+            for w in increasing_gauss_words(n)
+            for bits in itertools.product("ab", repeat=n)
+        ]
+        rng = random.Random(28)
+        records = rng.choices(census5.records, k=2000)
+        words += [random_renaming(rng, disguise(rng, r.nanoword, i % 4)) for i, r in enumerate(records)]
+        lines = [f"{nw} {reduce_to_irreducible(nw)}" for nw in words]
+        assert len(lines) == 3815
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "665b4e37defaec1bfd4edb5c490f6595e308e91d4f894418c3b9306be67274c9"
 
     def test_gauss_validity_preserved_along_reductions(self):
         rng = random.Random(17)
