@@ -87,7 +87,14 @@ def candidates(
     Raises :class:`TruncationError` if any 3-class exploration hits the
     limits; the census must always run untruncated.
     """
-    return sorted(moves._decode(s) for s, _ in _survivors(n, max_members, max_steps))
+    found: list[Nanoword] = []
+    last, text = None, ""
+    for (word, mask), _ in _survivors(n, max_members, max_steps):
+        # survivors arrive grouped by Gauss word: join its text once
+        if word != last:
+            last, text = word, "".join([_ALPHA[x] for x in word])
+        found.append(Nanoword(text, moves._type_word(mask, n)))
+    return sorted(found)
 
 
 def _survivors(n, max_members, max_steps):

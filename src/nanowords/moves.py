@@ -59,6 +59,14 @@ finds removals by a scan with no table (``_first_removal``), both on its
 round starts and in its 3-class searches.  It files each irreducible
 3-class it searches to the end in a bounded memo (``_CLASS_MEMO``): such
 a search admits the same members and makes the same steps from any start.
+
+A ``Nanoword`` is built only where a state leaves as text: ``_decode``
+gives ``three_class`` its members, ``reduce_to_irreducible`` its answer
+and a truncation its word, always through the validating constructor,
+with the type word read straight off the mask; ``census.candidates``
+decodes its survivors the same way, joining each Gauss word's text once.
+``_encode`` reads a nanoword's word and type word in one pass and never
+fills its cached ``letters`` or ``type_map``.
 """
 
 from __future__ import annotations
@@ -193,14 +201,27 @@ def _types(state: State) -> list[int]:
 
 
 def _encode(nw: Nanoword) -> State:
-    return _norm(nw.word, {x: t == TYPE_B for x, t in nw.type_map.items()})
+    """The state of ``nw``: one pass over its word, as :func:`_relabel`,
+    then each letter's type read off ``nw.types`` by alphabetical rank."""
+    word, src = _relabel(nw.word)
+    type_of = dict(zip(sorted(src), nw.types))
+    mask = 0
+    for x in src:
+        mask = mask << 1 | (type_of[x] == TYPE_B)
+    return word, mask
+
+
+_TYPE_OF_BIT = str.maketrans("01", TYPE_A + TYPE_B)
+
+
+def _type_word(mask: int, n: int) -> str:
+    """The type word of an n-letter state's mask, letter 0's bit first."""
+    return bin(mask | 1 << n)[3:].translate(_TYPE_OF_BIT)
 
 
 def _decode(state: State) -> Nanoword:
-    return Nanoword(
-        "".join(_ALPHA[x] for x in state[0]),
-        "".join(TYPE_B if t else TYPE_A for t in _types(state)),
-    )
+    word, mask = state
+    return Nanoword("".join([_ALPHA[x] for x in word]), _type_word(mask, len(word) // 2))
 
 
 def _positions(word: tuple[int, ...]) -> list[tuple[int, int]]:

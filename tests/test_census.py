@@ -225,6 +225,14 @@ class TestCandidates:
             "c442ed53892ae09868ecfa538b47842fc51020052b8ef3ba424edb61688554aa"
         )
 
+    def test_pinned_candidates_at_six_crossings(self):
+        # candidates() decodes the survivors itself, one text per Gauss word
+        texts = [str(nw) for nw in cz.candidates(6)]
+        assert texts == sorted(texts) and len(texts) == 7825
+        assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == (
+            "0b87f808ed70ed576f13d842e369947a00ed120adca952020658a874fe218607"
+        )
+
 
 class TestIdentify:
     def test_examples(self, census4):
@@ -246,6 +254,16 @@ class TestIdentify:
             assert nw.crossings == 21
             assert cz.identify(nw, census5) == rec.id, nw
         assert time.process_time() - start < 1.0
+
+    def test_query_letter_tables_stay_unbuilt(self, census5):
+        # a query is encoded from its word and type word alone: identify
+        # fills neither cached letter table of the parsed Nanoword
+        rng = random.Random(29)
+        records = [r for r in census5.records if r.crossings == 5]
+        for rec in rng.sample(records, 20):
+            nw = parse_nanoword(str(random_renaming(rng, disguise(rng, rec.nanoword, 2))))
+            assert cz.identify(nw, census5) == rec.id, nw
+            assert "letters" not in nw.__dict__ and "type_map" not in nw.__dict__, nw
 
     def test_move_tables_only_for_expanded_words(self, census5, monkeypatch):
         # identify scans far more words for a removal than it expands,

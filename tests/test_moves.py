@@ -36,6 +36,7 @@ from nanowords.moves import (
     three_class,
 )
 from nanowords.words import (
+    _ALPHA,
     EMPTY,
     TRANSFORM_KINDS,
     Nanoword,
@@ -152,6 +153,48 @@ class TestStateEncoding:
         for n in [*range(27), *(rng.randint(0, 26) for _ in range(100))]:
             nw = random_renaming(rng, random_nanoword(rng, n))
             assert _decode(_encode(nw)) == normalize_increasing(nw)[0], nw
+
+    def test_encode_matches_letter_table_reference(self):
+        # the one-pass encoding against one built from the type map, on
+        # every nanoword of up to 5 letters as written and renamed into
+        # A-Z with Z among the letters, and on one word of 26 letters
+        def reference(nw):
+            return mv._norm(nw.word, {x: t == "b" for x, t in nw.type_map.items()})
+
+        def renamed(nw):
+            letters = ["Z", *rng.sample(_ALPHA[:-1], nw.crossings - 1)] if nw.word else []
+            rng.shuffle(letters)
+            rename = dict(zip(nw.letters, letters))
+            types = dict(zip(letters, nw.types))
+            return Nanoword("".join(map(rename.get, nw.word)), "".join(types[x] for x in sorted(types)))
+
+        rng = random.Random(29)
+        checked = 0
+        for n in range(6):
+            for w in increasing_gauss_words(n):
+                for bits in itertools.product("ab", repeat=n):
+                    nw = Nanoword(w, "".join(bits))
+                    other = renamed(nw)
+                    assert "Z" in other.word or not nw.word
+                    assert _encode(nw) == reference(nw), nw
+                    assert _encode(other) == reference(other) == _encode(nw), other
+                    checked += 1
+        assert checked == 32055
+        big = random_renaming(rng, random_nanoword(rng, 26))
+        assert _encode(big) == reference(big)
+
+    def test_decode_matches_generator_reference(self):
+        def reference(state):
+            return Nanoword(
+                "".join(_ALPHA[x] for x in state[0]),
+                "".join("b" if t else "a" for t in mv._types(state)),
+            )
+
+        states = [(w, m) for n in range(6) for w in _gauss_words(n, False) for m in range(1 << n)]
+        assert len(states) == 32055
+        for s in states:
+            assert _decode(s) == reference(s), s
+        assert str(_decode(((), 0))) == "0"
 
 
 class TestTransformState:
