@@ -87,14 +87,19 @@ def candidates(
     Raises :class:`TruncationError` if any 3-class exploration hits the
     limits; the census must always run untruncated.
     """
-    found: list[Nanoword] = []
+    return sorted(nw for nw, _, _ in _decoded(n, max_members, max_steps))
+
+
+def _decoded(n, max_members, max_steps):
+    """Yield each survivor of :func:`_survivors` as ``(nanoword, state,
+    class)``.  Survivors arrive grouped by Gauss word, so each word's text
+    is joined once and shared by the nanowords of all its masks."""
     last, text = None, ""
-    for (word, mask), _ in _survivors(n, max_members, max_steps):
-        # survivors arrive grouped by Gauss word: join its text once
+    for state, cls in _survivors(n, max_members, max_steps):
+        word, mask = state
         if word != last:
             last, text = word, "".join([_ALPHA[x] for x in word])
-        found.append(Nanoword(text, moves._type_word(mask, n)))
-    return sorted(found)
+        yield Nanoword(text, moves._type_word(mask, n)), state, cls
 
 
 def _survivors(n, max_members, max_steps):
@@ -160,15 +165,15 @@ def _minimal_irreducible_class(start, table_of, max_members, max_steps):
     return local, found
 
 
-def _image_minima(survivors) -> dict[Nanoword, tuple[Nanoword, ...]]:
-    """Each survivor of one depth's walk, decoded, mapped to the minimal
-    members of its class's images under ``words.TRANSFORM_KINDS``.  Each
-    kind pairs the walk's classes: a class files one member's image in
-    ``waiting``, and the class holding that image claims it."""
+def _image_minima(decoded) -> dict[Nanoword, tuple[Nanoword, ...]]:
+    """Each survivor of one depth's walk, as :func:`_decoded` yields it,
+    mapped to the minimal members of its class's images under
+    ``words.TRANSFORM_KINDS``.  Each kind pairs the walk's classes: a class
+    files one member's image in ``waiting``, and the class holding that
+    image claims it."""
     images: dict[Nanoword, list] = {}
     waiting: dict[moves.State, list[tuple[Nanoword, int]]] = {}
-    for s, cls in survivors:
-        nw = moves._decode(s)
+    for nw, s, cls in decoded:
         row = images[nw] = [None] * len(words.TRANSFORM_KINDS)
         for m in cls:
             for other, k in waiting.pop(m, ()):
@@ -497,7 +502,7 @@ def build_census(
     )
     images: dict[Nanoword, tuple[Nanoword, ...]] = {}
     for n in range(max_n + 1):
-        found = _image_minima(_survivors(n, max_members, max_steps))
+        found = _image_minima(_decoded(n, max_members, max_steps))
         images.update(found)
         records, unresolved = distinguish(
             sorted(found), census, n, max_members, max_steps, warn

@@ -44,27 +44,29 @@ naming the limit and its value.  The public string-level API
 reference the ``State`` successors are tested against.
 
 The move structure is computed once per Gauss word, not per state, as a
-few type masks per pattern.  ``three_class`` tests reducibility by a
-word's H1/H2/H2a patterns (``_removal_table``); expanding a state reads
-its whole table (``_word_table``), which adds the shifted word and each
-H3-family match with its swapped word.  Each part has a bounded cache
-for single searches and ``identify``; a walk owns its whole tables
-(``_Tables``) and reads both parts from them.  A per-state step
+few type masks per pattern, in one table (``_WordTable``): the H1/H2/H2a
+removal patterns, the shifted word and each H3-family match with its
+swapped word.  One bounded cache (``_word_table``) serves single searches
+and ``identify``; a walk owns its tables (``_Tables``).  A per-state step
 (``_neighbors``, ``_reducible_state``) looks its word's table up once,
 through ``table_of``, then only tests and moves bits of the state's type
 mask; nothing is sized by 2^n.
 
-``reduce_to_irreducible`` meets mostly words no other query shares, so it
-finds removals by a scan with no table (``_first_removal``), both on its
-round starts and in its 3-class searches.  It files each irreducible
-3-class it searches to the end in a bounded memo (``_CLASS_MEMO``): such
-a search admits the same members and makes the same steps from any start.
+Outside the walk a state is tested for a removal by a scan with no table
+(``_first_removal``), so a table is built only for an expanded word:
+``three_class`` and ``reduce_to_irreducible`` meet mostly words no other
+query shares.  The walk meets each Gauss word under many masks and
+expands it by its table anyway, so it tests by the table; by the scan,
+``candidates(6)`` took 0.41-0.51 s of CPU, not 0.26-0.33 s (three
+interleaved fresh runs, 2-vCPU x86_64).  ``reduce_to_irreducible``
+files each irreducible 3-class it searches to the end in a bounded memo
+(``_CLASS_MEMO``): such a search admits the same members and makes the
+same steps from any start.
 
-A ``Nanoword`` is built only where a state leaves as text: ``_decode``
-gives ``three_class`` its members, ``reduce_to_irreducible`` its answer
-and a truncation its word, always through the validating constructor,
-with the type word read straight off the mask; ``census.candidates``
-decodes its survivors the same way, joining each Gauss word's text once.
+A ``Nanoword`` is built only where a state leaves as text: by ``_decode``
+and, for the walk's survivors, by ``census._decoded``, which joins each
+Gauss word's text once for all its masks.  Either builds through the
+validating constructor, with the type word read off the mask.
 ``_encode`` reads a nanoword's word and type word in one pass and never
 fills its cached ``letters`` or ``type_map``.
 """
@@ -253,39 +255,20 @@ _H3_RULES = {
     False: ((0, 0, H3, 0), (1, 0, H3A, 1), (1, 1, H3B, 2), (0, 1, H3C, 3)),
 }
 
-# Gauss words whose tables are kept, in each cache.  Bounded because
-# ``identify`` may serve queries for the life of a process; a search
-# revisits few words many times.  A reduction only tests most of its
-# words, so their removal tables cannot evict the words it expands.
+# Gauss words whose tables are kept: bounded, as ``identify`` may serve
+# queries for the life of a process, and a search revisits few words many
+# times.  Only expanded words enter; the words a reduction scans do not.
 _WORD_TABLE_SIZE = 512
 
 
-class _Removals:
-    """The removal patterns of one Gauss word as masks (see ``State``)."""
+class _WordTable:
+    """The removal patterns and the moves of one Gauss word as masks."""
 
     # letter sets of H1 removals, by position
     h1: tuple[tuple[int], ...]
     # (x, y, pm) of H2/H2a removals, by x, pm the bits of x and y; each
     # needs x and y of opposite types: 0 < m & pm < pm
     h2: tuple[tuple[int, int, int], ...]
-
-    # plain slotted classes: a NamedTuple costs more to define at import
-    __slots__ = ("h1", "h2")
-
-    def __init__(self, word, pos, bit):
-        self.h1 = tuple((word[r],) for r in range(len(word) - 1) if word[r] == word[r + 1])
-        h2 = []
-        for x, (i, j) in enumerate(pos):
-            # i < j, so i + 1 is inside the word
-            y = word[i + 1]
-            if y != x and pos[y][0] == i + 1 and pos[y][1] in (j - 1, j + 1):
-                h2.append((x, y, bit[x] | bit[y]))
-        self.h2 = tuple(h2)
-
-
-class _WordTable(_Removals):
-    """The removal patterns and the moves of one Gauss word as masks."""
-
     # (word, F, G, S, d) after a shift, which takes ``m & S ^ S`` for
     # ``m & S`` to flip the rotated letter; None on the empty word
     shift: tuple | None
@@ -293,17 +276,12 @@ class _WordTable(_Removals):
     # positional H3-family match, by p and then by schema; it applies when
     # the bits M of A, B, C read p0 (the types it needs, A = a) or M ^ p0
     h3: tuple[tuple, ...]
-    __slots__ = ("shift", "h3")
 
-    def __init__(self, word, pos, bit, shift, h3):
-        super().__init__(word, pos, bit)
-        self.shift, self.h3 = shift, h3
+    # a plain slotted class: a NamedTuple costs more to define at import
+    __slots__ = ("h1", "h2", "shift", "h3")
 
-
-@functools.lru_cache(maxsize=_WORD_TABLE_SIZE)
-def _removal_table(word: tuple[int, ...]) -> _Removals:
-    pos = _positions(word)
-    return _Removals(word, pos, [1 << len(pos) - 1 - x for x in range(len(pos))])
+    def __init__(self, h1, h2, shift, h3):
+        self.h1, self.h2, self.shift, self.h3 = h1, h2, shift, h3
 
 
 @functools.lru_cache(maxsize=_WORD_TABLE_SIZE)
@@ -311,6 +289,13 @@ def _word_table(word: tuple[int, ...]) -> _WordTable:
     pos = _positions(word)
     L, n = len(word), len(pos)
     bit, full = [1 << n - 1 - x for x in range(n)], (1 << n) - 1
+    h1 = tuple((word[r],) for r in range(L - 1) if word[r] == word[r + 1])
+    h2 = []
+    for x, (i, j) in enumerate(pos):
+        # i < j, so i + 1 is inside the word
+        y = word[i + 1]
+        if y != x and pos[y][0] == i + 1 and pos[y][1] in (j - 1, j + 1):
+            h2.append((x, y, bit[x] | bit[y]))
     shift = None
     if word:
         shifted, src = _relabel(word[1:] + word[:1])
@@ -341,7 +326,7 @@ def _word_table(word: tuple[int, ...]) -> _WordTable:
             p0 = (need & 1) * bit[B] | (need >> 1) * bit[C]
             swapped = _relabel(_swap_pairs(word, p, q, r))[0]
             h3.append((M, p0, M ^ p0, (kind, direction, p, q, r), swapped, full ^ bit[u] ^ bit[v], bit[v], bit[u], 1))
-    return _WordTable(word, pos, bit, shift, tuple(h3))
+    return _WordTable(h1, tuple(h2), shift, tuple(h3))
 
 
 # Irreducible 3-classes searched to the end, by member state: one (least
@@ -374,11 +359,11 @@ def _removable_letters(state: State) -> list[tuple[int, ...]]:
     """Letter sets an H1, H2 or H2a removal deletes, in the order of
     :func:`_removal_instances`: H1 by position, then by first letter."""
     word, m = state
-    table = _removal_table(word)
+    table = _word_table(word)
     return [*table.h1, *((x, y) for x, y, pm in table.h2 if 0 < m & pm < pm)]
 
 
-def _reducible_state(state: State, table_of=_removal_table) -> bool:
+def _reducible_state(state: State, table_of=_word_table) -> bool:
     word, m = state
     table = table_of(word)
     for _, _, pm in table.h2:
@@ -700,7 +685,7 @@ def three_class(
     return ThreeClass(
         members=frozenset(_decode(s) for s in seen),
         min_member=_decode(min(seen)),
-        reducible=any(_reducible_state(s) for s in seen),
+        reducible=any(_first_removal(s) is not None for s in seen),
         truncated=limit is not None,
         limit_hit=limit,
     )

@@ -115,10 +115,10 @@ class TestCandidates:
         built = []
         build = mv._word_table.__wrapped__
         monkeypatch.setattr(mv._word_table, "__wrapped__", lambda word: built.append(word) or build(word))
-        before = mv._word_table.cache_info(), mv._removal_table.cache_info()
+        before = mv._word_table.cache_info()
         assert list(cz._survivors(5, mv.DEFAULT_MAX_MEMBERS, mv.DEFAULT_MAX_STEPS))
         assert built and len(built) == len(set(built))
-        assert (mv._word_table.cache_info(), mv._removal_table.cache_info()) == before
+        assert mv._word_table.cache_info() == before
 
     def test_skipped_words_carry_no_candidate(self):
         # brute force: on a word with a smaller rotation, or with equal
@@ -267,8 +267,7 @@ class TestIdentify:
 
     def test_move_tables_only_for_expanded_words(self, census5, monkeypatch):
         # identify scans far more words for a removal than it expands,
-        # builds a whole word table only for a word whose state it
-        # expands, and never builds a removal table
+        # and builds a word table only for a word whose state it expands
         rng = random.Random(16)
         records = rng.choices(census5.records, k=200)
         queries = [random_renaming(rng, disguise(rng, r.nanoword, i % 4)) for i, r in enumerate(records)]
@@ -288,13 +287,11 @@ class TestIdentify:
         monkeypatch.setattr(mv, "_first_removal", first_removal)
         clear_class_memo()
         mv._word_table.cache_clear()
-        mv._removal_table.cache_clear()
         assert [cz.identify(nw, census5) for nw in queries] == want
-        moved, tested = mv._word_table.cache_info(), mv._removal_table.cache_info()
+        moved = mv._word_table.cache_info()
         expanded.discard(())  # the empty word has no moves and no table
         # no table was evicted, so each miss built a distinct word's table
         assert moved.currsize == moved.misses == len(expanded)
-        assert tested.misses == 0
         assert expanded < scanned
 
     def test_warm_memo_answers_as_cold(self, census5, monkeypatch):
@@ -347,8 +344,8 @@ def walks():
     """Each depth's survivors with their 3-classes, and their images."""
     out = {}
     for n in range(7):
-        survivors = list(cz._survivors(n, mv.DEFAULT_MAX_MEMBERS, mv.DEFAULT_MAX_STEPS))
-        out[n] = survivors, cz._image_minima(survivors)
+        decoded = list(cz._decoded(n, mv.DEFAULT_MAX_MEMBERS, mv.DEFAULT_MAX_STEPS))
+        out[n] = [(s, cls) for _, s, cls in decoded], cz._image_minima(decoded)
     return out
 
 
@@ -449,7 +446,7 @@ class TestSymmetry:
         chiral = next(k for k, (nw, row) in enumerate(images.items()) if nw not in row)
         rest = survivors[:chiral] + survivors[chiral + 1 :]
         with pytest.raises(RuntimeError, match="^3 images were not walked$"):
-            cz._image_minima(rest)
+            cz._image_minima((mv._decode(s), s, cls) for s, cls in rest)
 
     def test_transforms_identify_consistently(self, census4):
         rng = random.Random(8)
@@ -512,6 +509,16 @@ class TestCensusTables:
 
 
 class TestCensus5:
+    def test_records_share_their_gauss_words_text(self, census5):
+        # a build decodes each survivor once, joining each Gauss word's
+        # text once: the records on one Gauss word share one string
+        texts = {}
+        for rec in census5.records:
+            texts.setdefault(rec.nanoword.word, []).append(rec.nanoword.word)
+        shared = [same for same in texts.values() if len(same) > 1]
+        assert len(shared) > 1
+        assert all(text is same[0] for same in shared for text in same)
+
     def test_published_groups_present(self, census5):
         got = {
             (frozenset(str(m) for m in g.members), g.rho, ",".join(map(str, g.phi_display)))

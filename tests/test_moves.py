@@ -23,7 +23,6 @@ from nanowords.moves import (
     _neighbors,
     _reducible_state,
     _removable_letters,
-    _removal_table,
     _removals,
     _transform_state,
     _without,
@@ -416,30 +415,29 @@ class TestApply:
 
 
 class TestWordTables:
-    def test_removal_and_whole_tables_agree(self):
-        # a reducibility test reads a word's removal table, the walk its
-        # whole table: both hold the same H1/H2/H2a patterns, and on a
-        # random type mask both decide as the public removals do
+    def test_word_table_decides_as_public_removals(self):
+        # the walk tests reducibility by a word's table, everything else
+        # by the table-free scan: on a random type mask both decide as the
+        # public removals do
         rng = random.Random(16)
         words = [_encode(Nanoword(w, "a" * n))[0] for n in range(6) for w in increasing_gauss_words(n)]
         words += [_encode(random_nanoword(rng, rng.randint(7, 20)))[0] for _ in range(200)]
         assert len(words) == 1070 + 200
         for word in words:
-            removal, whole = _removal_table.__wrapped__(word), _word_table.__wrapped__(word)
-            assert (removal.h1, removal.h2) == (whole.h1, whole.h2), word
+            table = _word_table.__wrapped__(word)
             s = (word, rng.getrandbits(len(word) // 2))
             reducible = is_reducible(_decode(s))
-            assert _reducible_state(s, lambda w: removal) == _reducible_state(s, lambda w: whole) == reducible, s
+            assert _reducible_state(s, lambda w: table) == (_first_removal(s) is not None) == reducible, s
 
     @pytest.mark.parametrize("text", ["ABBA:ab", "ABAB:ba", "ABCDDCBA:abab", "ABCDCDAB:abab"])
     def test_reducible_starts_build_no_move_table(self, text):
         # every start on the way down is reducible, so each round scans
         # its start and removes on the spot: with the empty word's class
-        # filed, no table of either kind is built or even read
+        # filed, no word table is built or even read
         reduce_to_irreducible(EMPTY)
-        before = _word_table.cache_info(), _removal_table.cache_info()
+        before = _word_table.cache_info()
         assert reduce_to_irreducible(parse_nanoword(text)) == EMPTY
-        assert (_word_table.cache_info(), _removal_table.cache_info()) == before
+        assert _word_table.cache_info() == before
 
 
 def _removal_agreement(max_letters):
@@ -495,6 +493,38 @@ class TestThreeClass:
             members = three_class(nw).members
             for m in members:
                 assert three_class(m).members == members
+
+    def test_reducible_by_its_members_up_to_four_letters(self, monkeypatch):
+        # a class is reducible iff a member it admitted is, also when a
+        # limit cut it short; its members are scanned, so a word table is
+        # built only for a word whose state it expanded
+        expanded = set()
+        expand = mv._neighbors
+
+        def neighbors(s):
+            expanded.add(s[0])
+            return expand(s)
+
+        monkeypatch.setattr(mv, "_neighbors", neighbors)
+        words = [
+            Nanoword(w, "".join(bits))
+            for n in range(5)
+            for w in increasing_gauss_words(n)
+            for bits in itertools.product("ab", repeat=n)
+        ]
+        assert len(words) == 1815
+        for limits in ({}, {"max_members": 2}, {"max_steps": 3}):
+            seen = collections.Counter()
+            for nw in words:
+                expanded.clear()
+                _word_table.cache_clear()
+                tc = three_class(nw, **limits)
+                assert tc.reducible == any(is_reducible(m) for m in tc.members), (nw, limits)
+                built = _word_table.cache_info()
+                assert built.currsize == built.misses == len(expanded - {()}), (nw, limits)
+                seen[tc.reducible, tc.truncated] += 1
+            assert seen[False, False] and seen[True, False], limits
+            assert bool(limits) == bool(seen[False, True] and seen[True, True]), limits
 
     def test_truncation_reported(self):
         tc = three_class(parse_nanoword("ABACBC:aab"), max_members=2)
