@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import invariants, moves, words
-from .moves import DEFAULT_MAX_MEMBERS, DEFAULT_MAX_STEPS
+from .moves import DEFAULT_MAX_MEMBERS, DEFAULT_MAX_STEPS, Limits
 from .words import _ALPHA, Nanoword
 
 MIRROR_ONLY = "+"
@@ -87,22 +87,22 @@ def candidates(
     Raises :class:`TruncationError` if any 3-class exploration hits the
     limits; the census must always run untruncated.
     """
-    return sorted(nw for nw, _, _ in _decoded(n, max_members, max_steps))
+    return sorted(nw for nw, _, _ in _decoded(n, Limits(max_members, max_steps)))
 
 
-def _decoded(n, max_members, max_steps):
+def _decoded(n, limits):
     """Yield each survivor of :func:`_survivors` as ``(nanoword, state,
     class)``.  Survivors arrive grouped by Gauss word, so each word's text
     is joined once and shared by the nanowords of all its masks."""
     last, text = None, ""
-    for state, cls in _survivors(n, max_members, max_steps):
+    for state, cls in _survivors(n, limits):
         word, mask = state
         if word != last:
             last, text = word, "".join([_ALPHA[x] for x in word])
         yield Nanoword(text, moves._type_word(mask, n)), state, cls
 
 
-def _survivors(n, max_members, max_steps):
+def _survivors(n, limits):
     """Yield each candidate's ``State`` with the members of its 3-class.
 
     After p shift moves a state's word is ``_relabel(word[p:] + word[:p])``,
@@ -110,8 +110,9 @@ def _survivors(n, max_members, max_steps):
     first word met from a rotation orbit is its least, and files the rest
     in ``rotated`` to be skipped.  A word with ``word[0] == word[-1]`` is
     skipped too, as one shift gives it an adjacent XX.  A reducible start
-    is no candidate.  ``tables`` holds the walk's word tables, each
-    dropped once the walk passes its word.
+    is no candidate; an irreducible one's 3-class search stops at the
+    first smaller or reducible member, before reading that member's table.
+    ``tables`` holds the walk's tables, dropped once it passes their word.
 
     The mirror ``(w, m ^ full)`` keeps a state's word, maps its shift
     and 3-moves, in order, to the mirror's, and keeps reducibility (H1
@@ -126,6 +127,7 @@ def _survivors(n, max_members, max_steps):
     rotated: set[tuple[int, ...]] = set()
     tables = moves._Tables()
     table_of = tables.__getitem__
+    neighbors = lambda s: moves._neighbors(s, table_of)  # faster per call than a keyword partial
     for word in _gauss_words(n, skip_adjacent_doubles=True):
         if word not in rotated and not (word and word[0] == word[-1]):
             rotated.update(moves._relabel(word[p:] + word[:p])[0] for p in range(1, len(word)))
@@ -137,7 +139,11 @@ def _survivors(n, max_members, max_steps):
                     if (cls := mirrored.pop(mask)) is not None:
                         yield state, {(w, m ^ full) for w, m in cls}
                 elif not moves._reducible_state(state, table_of):
-                    cls, found = _minimal_irreducible_class(state, table_of, max_members, max_steps)
+                    cls, found, limit, _ = moves._explore(
+                        state, neighbors, lambda s: s < state or moves._reducible_state(s, table_of), limits
+                    )
+                    if limit is not None:
+                        raise limits.truncation(f"3-class of {moves._decode(state)}", limit)
                     if found is None:
                         yield state, cls
                         mirrored[full ^ max(m for w, m in cls if w == word)] = cls
@@ -145,24 +151,6 @@ def _survivors(n, max_members, max_steps):
                         mirrored[mask ^ full] = None
         rotated.discard(word)
         tables.pop(word, None)
-
-
-def _minimal_irreducible_class(start, table_of, max_members, max_steps):
-    """Guarded 3-class exploration from ``start``: the states admitted,
-    and the member that stopped it or None when they are the whole class.
-
-    Stops as soon as a member smaller than ``start`` or a reducible
-    member appears, before reading that member's table.
-    """
-    def stop(s):
-        return s < start or moves._reducible_state(s, table_of)
-
-    local, found, limit, _ = moves._explore(
-        start, lambda s: moves._neighbors(s, table_of), stop, max_members, max_steps
-    )
-    if limit is not None:
-        raise moves._truncation(f"3-class of {moves._decode(start)}", limit, max_members, max_steps)
-    return local, found
 
 
 def _image_minima(decoded) -> dict[Nanoword, tuple[Nanoword, ...]]:
@@ -302,15 +290,15 @@ class CensusTable:
         """The record or unresolved group filed under a separation key."""
         return self._entry_at.get(key)
 
-    def entry_of(self, nw, max_members=DEFAULT_MAX_MEMBERS, max_steps=DEFAULT_MAX_STEPS):
+    def entry_of(self, nw, limits: Limits = Limits()):
         """The entry for an irreducible ``nw``'s key, stored or computed."""
-        key = self._word_key.get(nw) or separate(nw, self, max_members, max_steps).key
+        key = self._word_key.get(nw) or separate(nw, self, limits).key
         return self.entry(key)
 
-    def phi_of(self, nw: Nanoword) -> tuple[int, ...]:
+    def phi_of(self, nw: Nanoword, limits: Limits = Limits()) -> tuple[int, ...]:
         """phi of ``nw``: stored for a census word, computed otherwise."""
         key = self._word_key.get(nw)
-        return invariants.string_phi(nw).phi if key is None else key[1]
+        return invariants._canonical(invariants.based_matrix(nw), limits)[0].phi if key is None else key[1]
 
 
 def _record_id(n: int, k: int) -> str:
@@ -342,8 +330,7 @@ class Separation(NamedTuple):
 def separate(
     nw: Nanoword,
     census: CensusTable,
-    max_members: int = DEFAULT_MAX_MEMBERS,
-    max_steps: int = DEFAULT_MAX_STEPS,
+    limits: Limits = Limits(),
     reduced: dict[tuple[str, str], Nanoword] | None = None,
 ) -> Separation:
     """Invariants and separation key ``(rho, phi, cover_phis)`` of ``nw``.
@@ -359,12 +346,13 @@ def separate(
 
     ``reduced`` maps the ``(word, types)`` text of normalized coverings
     to their reductions under the same limits; it is read and filled,
-    so callers separating many words can share it.
+    so callers separating many words can share it.  ``limits`` bounds
+    those reductions and the orderings of each phi.
     """
     if reduced is None:
         reduced = {}
     stats = invariants.n_values(nw)
-    cf, _, display = invariants._canonical(invariants.based_matrix(nw, stats))
+    cf, _, display = invariants._canonical(invariants.based_matrix(nw, stats), limits)
     covers: dict[int, Nanoword | None] = {}
     phis: dict[int, tuple[int, ...]] = {}
     for keep, radii in _covering_radii(stats).items():
@@ -372,9 +360,9 @@ def separate(
         if text == (nw.word, nw.types):
             red = None
         elif (red := reduced.get(text)) is None:
-            red = reduced[text] = moves.reduce_to_irreducible(Nanoword(*text), 0, max_members, max_steps)
+            red = reduced[text] = moves.reduce_to_irreducible(Nanoword(*text), 0, *limits)
         covers[radii[0]] = red
-        phis.update(dict.fromkeys(radii, cf.phi if red is None else census.phi_of(red)))
+        phis.update(dict.fromkeys(radii, cf.phi if red is None else census.phi_of(red, limits)))
     seq = [phis[r] for r in sorted(phis)] or [cf.phi]
     while len(seq) > 1 and seq[-1] == seq[-2]:
         seq.pop()
@@ -384,8 +372,7 @@ def separate(
 def lookup(
     nw: Nanoword,
     census: CensusTable,
-    max_members: int = DEFAULT_MAX_MEMBERS,
-    max_steps: int = DEFAULT_MAX_STEPS,
+    limits: Limits = Limits(),
     insert_budget: int = 0,
 ) -> StringRecord | UnresolvedGroup | None:
     """The census entry sharing the separation key of ``nw``, if any.
@@ -394,8 +381,8 @@ def lookup(
     ``insert_budget`` lets the reduction hunt for crossing-count escapes
     through temporarily larger words.
     """
-    reduced = moves.reduce_to_irreducible(nw, insert_budget, max_members, max_steps)
-    return census.entry_of(reduced, max_members, max_steps)
+    reduced = moves.reduce_to_irreducible(nw, insert_budget, *limits)
+    return census.entry_of(reduced, limits)
 
 
 def entry_name(entry: StringRecord | UnresolvedGroup | None) -> str:
@@ -419,7 +406,7 @@ def identify(
     An unresolved group is reported as ambiguous: equal invariants do not
     prove homotopy.
     """
-    return entry_name(lookup(nw, census, max_members, max_steps, insert_budget))
+    return entry_name(lookup(nw, census, Limits(max_members, max_steps), insert_budget))
 
 
 def distinguish(
@@ -441,8 +428,8 @@ def distinguish(
     sharing the invariants; nothing in the calculus decides which, so
     the group is reported rather than treated as an error.
     """
-    reduced: dict[tuple[str, str], Nanoword] = {}
-    seps = {nw: separate(nw, prior, max_members, max_steps, reduced) for nw in cands}
+    limits, reduced = Limits(max_members, max_steps), {}
+    seps = {nw: separate(nw, prior, limits, reduced) for nw in cands}
     buckets: dict[tuple, list[Nanoword]] = {}
     for nw in cands:
         buckets.setdefault(seps[nw].key, []).append(nw)
@@ -473,16 +460,16 @@ def distinguish(
         unresolved.append(UnresolvedGroup(members, *key, display))
 
     records = [
-        _make_record(_record_id(crossings, k), nw, seps[nw], prior, max_members, max_steps)
+        _make_record(_record_id(crossings, k), nw, seps[nw], prior, limits)
         for k, nw in enumerate(sorted(lone), 1)
     ]
     unresolved.sort(key=lambda g: (g.rho, g.phi, g.members))
     return records, unresolved
 
 
-def _make_record(rid, nw, sep, prior, max_members, max_steps):
+def _make_record(rid, nw, sep, prior, limits):
     coverings = {
-        r: "self" if red is None else entry_name(prior.entry_of(red, max_members, max_steps))
+        r: "self" if red is None else entry_name(prior.entry_of(red, limits))
         for r, red in sep.covers.items()
     }
     return StringRecord(rid, nw, *sep.key, sep.display, coverings)
@@ -496,17 +483,13 @@ def build_census(
 ) -> CensusTable:
     """Run the full pipeline for crossing numbers 0..max_n."""
     _gauss_words(max_n, True)  # ValueError unless 0 <= max_n <= 26
-    census = CensusTable(
-        max_crossings=max_n,
-        limits={"max_members": max_members, "max_steps": max_steps},
-    )
+    limits = Limits(max_members, max_steps)
+    census = CensusTable(max_crossings=max_n, limits=limits._asdict())
     images: dict[Nanoword, tuple[Nanoword, ...]] = {}
     for n in range(max_n + 1):
-        found = _image_minima(_decoded(n, max_members, max_steps))
+        found = _image_minima(_decoded(n, limits))
         images.update(found)
-        records, unresolved = distinguish(
-            sorted(found), census, n, max_members, max_steps, warn
-        )
+        records, unresolved = distinguish(sorted(found), census, n, *limits, warn)
         census.add(records, unresolved)
     # After the last depth: a later group may take over an earlier record's key.
     for rec in census.records:

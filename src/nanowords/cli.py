@@ -259,7 +259,7 @@ def cmd_identify(args) -> int:
 def cmd_symmetry(args) -> int:
     nw = parse_nanoword(args.nanoword)
     census = obtain_census(args, args.crossings)
-    rec = cz.lookup(nw, census, args.max_members, args.max_steps, args.insert_budget)
+    rec = cz.lookup(nw, census, moves.Limits(args.max_members, args.max_steps), args.insert_budget)
     if not isinstance(rec, cz.StringRecord):
         print(cz.entry_name(rec))
     elif rec.symmetry is None:

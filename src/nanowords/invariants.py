@@ -40,9 +40,11 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 
+from .moves import Limits
 from .words import _ALPHA, TYPE_A, Nanoword
 
 # Orientation conventions, pinned by the worked example of the reference
@@ -448,7 +450,7 @@ def canonical_order(bm: BasedMatrix) -> tuple[str, ...]:
     return _canonical(bm)[1]
 
 
-def _canonical(bm: BasedMatrix):
+def _canonical(bm: BasedMatrix, limits: Limits = Limits()):
     """phi, the order realizing it and, from the same reduction, the
     display tuple: theta of the primitive in the order s, then the
     element classes one after another (:func:`display_theta`).  phi is
@@ -456,13 +458,16 @@ def _canonical(bm: BasedMatrix):
     in one block, enumerated only when a class is tied: 36 of the 429
     primitive matrices built up to 5 crossings, 711 of 8,254 up to 6,
     15,071 of 190,403 up to 7, at most 5,040 orderings.  Classes ascend,
-    so the orderings come lexicographically: the first minimal one wins."""
+    so the orderings come lexicographically: the first minimal one wins.
+    Past ``limits.max_steps`` orderings it raises, enumerating none."""
     prim = reduce_based_matrix(bm)
     classes = _element_classes(prim)
     ids = [0] + [g for cls in classes for g in cls]
     display = _theta_at(prim.entries, ids)
     t = display  # with singleton classes the class order is the only one
     if len(classes) < len(ids) - 1:
+        if (count := math.prod(math.factorial(len(c)) for c in classes)) > limits.max_steps:
+            raise limits.truncation(f"phi's {count} orderings", "steps")
         orders = ([0, *itertools.chain(*p)] for p in itertools.product(*map(itertools.permutations, classes)))
         t, ids = min((_theta_at(prim.entries, o), o) for o in orders)
     return CanonicalPBM(rho=prim.size - 1, phi=t), tuple(prim.labels[i] for i in ids), display

@@ -37,9 +37,10 @@ breadth-first engine, ``_explore``: it takes a successor function and a
 stop predicate, and gives back the distinct states it admitted, the first
 admitted state satisfying the predicate, and the limit it hit, if any.
 A step is one generated successor; the member limit is checked only when
-a new distinct state would be admitted.  ``three_class`` reports a hit
-limit on its result; every other search raises :class:`TruncationError`
-naming the limit and its value.  The public string-level API
+a new distinct state would be admitted.  Both bounds travel as one
+:class:`Limits`.  ``three_class`` reports a hit limit on its result;
+every other search raises the :class:`TruncationError` its ``Limits``
+builds, naming the limit and its value.  The public string-level API
 (``applicable_moves``/``apply_move``) validates outside input and is the
 reference the ``State`` successors are tested against.
 
@@ -76,6 +77,7 @@ from __future__ import annotations
 import functools
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .words import (
     _ALPHA,
@@ -126,6 +128,17 @@ class TruncationError(RuntimeError):
         super().__init__(message)
         self.partial = partial
         self.limit = limit
+
+
+class Limits(NamedTuple):
+    """A search's bounds (:func:`_explore`); ``max_steps`` also bounds phi's orderings."""
+
+    max_members: int = DEFAULT_MAX_MEMBERS
+    max_steps: int = DEFAULT_MAX_STEPS
+
+    def truncation(self, what: str, limit: str, partial=None) -> TruncationError:
+        value = self.max_members if limit == "members" else self.max_steps
+        return TruncationError(f"{what} exceeded max_{limit}={value}", partial, limit)
 
 
 @dataclass(frozen=True)
@@ -452,7 +465,7 @@ def _escape_successors(state: State, max_letters: int) -> list[State]:
     return moved[:1] + _removals(state) + moved[1:] + _insertions(state, max_letters)
 
 
-def _explore(start: State, successors, stop, max_members: int, max_steps: int):
+def _explore(start: State, successors, stop, limits: Limits):
     """Bounded breadth-first search over states from ``start``.
 
     Returns ``(seen, found, limit, steps)``: the distinct states admitted,
@@ -462,6 +475,7 @@ def _explore(start: State, successors, stop, max_members: int, max_steps: int):
     step is one generated successor; the member limit is checked only when
     a new distinct state would be admitted.
     """
+    max_members, max_steps = limits
     seen = {start}
     if stop is not None and stop(start):
         return seen, start, None, 0
@@ -481,11 +495,6 @@ def _explore(start: State, successors, stop, max_members: int, max_steps: int):
                 return seen, nxt, None, steps
             queue.append(nxt)
     return seen, None, None, steps
-
-
-def _truncation(what: str, limit: str, max_members: int, max_steps: int, partial=None):
-    value = max_members if limit == "members" else max_steps
-    return TruncationError(f"{what} exceeded max_{limit}={value}", partial, limit)
 
 
 # ---------------------------------------------------------------------------
@@ -681,7 +690,7 @@ def three_class(
     so members are isomorphism classes.  Truncation is reported on the
     result, never raised.
     """
-    seen, _, limit, _ = _explore(_encode(nw), _neighbors, None, max_members, max_steps)
+    seen, _, limit, _ = _explore(_encode(nw), _neighbors, None, Limits(max_members, max_steps))
     return ThreeClass(
         members=frozenset(_decode(s) for s in seen),
         min_member=_decode(min(seen)),
@@ -705,7 +714,7 @@ def reduce_to_irreducible(
     decreases on every round.  With ``max_extra_letters > 0`` an
     irreducible class is additionally probed through insertion moves
     (bounded by the budget) for an escape to a smaller word; the default
-    budget of 0 never inserts.
+    budget of 0 never inserts, and the empty word has no smaller one.
 
     Note the result is the minimal member of *an* irreducible 3-class of
     the input's homotopy class.  Distinct irreducible 3-classes of one
@@ -718,17 +727,17 @@ def reduce_to_irreducible(
     iff size > ``max_members`` or steps > ``max_steps``; otherwise the
     memo's least member is its answer.
     """
-    state = _encode(nw)
+    state, limits = _encode(nw), Limits(max_members, max_steps)
     while True:
         if (letters := _first_removal(state)) is not None:
             state = _without(state, letters)
             continue
         least, size, steps = _CLASS_MEMO.get(state, (None, 0, 0))
         if least is None or size > max_members or steps > max_steps:
-            seen, found, limit, steps = _explore(state, _neighbors, _first_removal, max_members, max_steps)
+            seen, found, limit, steps = _explore(state, _neighbors, _first_removal, limits)
             if limit is not None:
                 current = _decode(state)
-                raise _truncation(f"3-class of {current}", limit, max_members, max_steps, current)
+                raise limits.truncation(f"3-class of {current}", limit, current)
             if found is not None:
                 state = found
                 continue
@@ -737,15 +746,15 @@ def reduce_to_irreducible(
                 if len(_CLASS_MEMO) + len(seen) > _CLASS_MEMO_SIZE:
                     _CLASS_MEMO.clear()
                 _CLASS_MEMO.update(dict.fromkeys(seen, (least, len(seen), steps)))
-        if max_extra_letters <= 0:
+        L = len(state[0])
+        if max_extra_letters <= 0 or not L:
             return least
         # the whole move graph within the letter budget, for a smaller word
-        L = len(state[0])
         escape = functools.partial(_escape_successors, max_letters=min(L // 2 + max_extra_letters, MAX_LETTERS))
-        _, smaller, limit, _ = _explore(state, escape, lambda s: len(s[0]) < L, max_members, max_steps)
+        _, smaller, limit, _ = _explore(state, escape, lambda s: len(s[0]) < L, limits)
         if limit is not None:
             current = _decode(state)
-            raise _truncation(f"insertion search from {current}", limit, max_members, max_steps, current)
+            raise limits.truncation(f"insertion search from {current}", limit, current)
         if smaller is None:
             return least
         state = smaller

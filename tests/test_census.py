@@ -107,7 +107,7 @@ class TestCandidates:
                     if not tc.reducible:
                         classes[tc.min_member] = {mv._encode(m) for m in tc.members}
             assert cz.candidates(n) == sorted(classes), n
-            for s, cls in cz._survivors(n, mv.DEFAULT_MAX_MEMBERS, mv.DEFAULT_MAX_STEPS):
+            for s, cls in cz._survivors(n, mv.Limits()):
                 assert cls == classes[mv._decode(s)], mv._decode(s)
 
     def test_walk_builds_each_table_once(self, monkeypatch):
@@ -116,7 +116,7 @@ class TestCandidates:
         build = mv._word_table.__wrapped__
         monkeypatch.setattr(mv._word_table, "__wrapped__", lambda word: built.append(word) or build(word))
         before = mv._word_table.cache_info()
-        assert list(cz._survivors(5, mv.DEFAULT_MAX_MEMBERS, mv.DEFAULT_MAX_STEPS))
+        assert list(cz._survivors(5, mv.Limits()))
         assert built and len(built) == len(set(built))
         assert mv._word_table.cache_info() == before
 
@@ -147,7 +147,7 @@ class TestCandidates:
         monkeypatch.setattr(mv, "_explore", lambda start, *rest: starts.append(start) or explore(start, *rest))
         for n, walked in ((5, 36), (6, 300)):
             del starts[:]
-            assert list(cz._survivors(n, mv.DEFAULT_MAX_MEMBERS, mv.DEFAULT_MAX_STEPS))
+            assert list(cz._survivors(n, mv.Limits()))
             words = {mv._decode((w, 0)).word for w, _ in starts}
             assert words <= rotation_minimal_words(n)
             assert len(words) == len(rotation_minimal_words(n)) == walked
@@ -156,7 +156,7 @@ class TestCandidates:
     def test_pinned_walk_at_seven_crossings(self):
         # 182,149 survivors with 3,019,626 class members, streamed
         digest, survivors, members = hashlib.sha256(), 0, 0
-        for s, cls in cz._survivors(7, mv.DEFAULT_MAX_MEMBERS, mv.DEFAULT_MAX_STEPS):
+        for s, cls in cz._survivors(7, mv.Limits()):
             digest.update(f"{mv._decode(s)} {len(cls)}\n".encode())
             survivors, members = survivors + 1, members + len(cls)
         assert (survivors, members) == (182149, 3019626)
@@ -178,14 +178,15 @@ class TestCandidates:
         # every small limit; pinned from the walk that searched each class
         for first, last, yielded, word in runs:
             for value in range(first, last + 1):
-                limits = {"max_members": mv.DEFAULT_MAX_MEMBERS, "max_steps": mv.DEFAULT_MAX_STEPS, f"max_{limit}": value}
+                limits = mv.Limits(**{f"max_{limit}": value})
                 got = []
                 with pytest.raises(mv.TruncationError) if word else contextlib.nullcontext() as err:
-                    got.extend(cz._survivors(n, **limits))
+                    got.extend(cz._survivors(n, limits))
                 assert len(got) == yielded, (limit, value)
                 if word:
                     assert err.value.limit == limit
                     assert str(err.value) == f"3-class of {word} exceeded max_{limit}={value}"
+                    assert err.value.partial is None
 
     def test_walk_closed_under_mirror(self, walks):
         # the complement of a yielded class's type masks is the class of
@@ -207,7 +208,7 @@ class TestCandidates:
         monkeypatch.setattr(mv, "_explore", lambda *args: searched.append(args[0]) or explore(*args))
         for n, count in ((5, 361), (6, 5630)):
             del searched[:]
-            assert list(cz._survivors(n, mv.DEFAULT_MAX_MEMBERS, mv.DEFAULT_MAX_STEPS))
+            assert list(cz._survivors(n, mv.Limits()))
             assert len(searched) == count, n
 
     def test_walk_classes_disjoint(self, walks):
@@ -344,7 +345,7 @@ def walks():
     """Each depth's survivors with their 3-classes, and their images."""
     out = {}
     for n in range(7):
-        decoded = list(cz._decoded(n, mv.DEFAULT_MAX_MEMBERS, mv.DEFAULT_MAX_STEPS))
+        decoded = list(cz._decoded(n, mv.Limits()))
         out[n] = [(s, cls) for _, s, cls in decoded], cz._image_minima(decoded)
     return out
 

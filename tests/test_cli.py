@@ -8,6 +8,9 @@ import nanowords.cli as cli
 import golden
 
 
+REPEATED_PIECES = "ABACBCDEDFEFGHGIHIJKJLKLMNMONOPQPRQR:aabaabaabaabaabaab"
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr()
@@ -35,6 +38,12 @@ class TestInvariantsCommand:
         assert "u-polynomial: -t^3+3t" in out
         assert "rho: 4" in out
         assert "phi: -3,1,1,1,1,2,3,0,0,0" in out
+
+    def test_phi_orderings_truncated(self, capsys):
+        # six copies of ABACBC:aab: phi would enumerate 6!^3 orderings
+        code, out, err = run(capsys, "invariants", REPEATED_PIECES)
+        assert (code, out) == (2, "")
+        assert err == "error: truncated: phi's 373248000 orderings exceeded max_steps=10000000\n"
 
     def test_json(self, capsys):
         code, out, _ = run(capsys, "invariants", "ABACBC:aab", "--json")
@@ -401,6 +410,29 @@ class TestIdentifyCommand:
         )
         assert (code, out) == (2, "")
         assert err == "error: truncated: insertion search from ABACBC:aab exceeded max_members=20\n"
+
+    def test_insert_budget_from_a_word_that_reduces_to_empty(self, capsys, tmp_path):
+        code, out, _ = run(
+            capsys,
+            "identify",
+            "ABAB:ab",
+            "--insert-budget",
+            "7",
+            "--crossings",
+            "2",
+            "--cache",
+            str(tmp_path),
+            "--compute",
+        )
+        assert (code, out) == (0, "0\n")
+
+    def test_phi_orderings_truncated(self, capsys, tmp_path):
+        # six copies of ABACBC:aab: phi would enumerate 6!^3 orderings
+        code, out, err = run(
+            capsys, "identify", REPEATED_PIECES, "--crossings", "4", "--compute", "--cache", str(tmp_path)
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: truncated: phi's 373248000 orderings exceeded max_steps=10000000\n"
 
     def test_insert_budget_accepted(self, capsys, tmp_path):
         code, out, _ = run(

@@ -454,12 +454,27 @@ class TestCanonicalForm:
         assert (cf.phi, order, display) == reference_canonical(bm)
         assert cf.rho == prim.size - 1 and cf.phi <= display
 
+    def test_orderings_bounded_by_max_steps(self):
+        # two copies of ABACBC:aab keep three tied classes of two elements:
+        # 2!^3 = 8 orderings, enumerated under a bound of 8 and refused,
+        # before any is tried, under 7
+        bm = based_matrix(parse_nanoword("ABACBCDEDFEF:aabaab"))
+        assert inv._canonical(bm, mv.Limits(max_steps=8)) == inv._canonical(bm)
+        with pytest.raises(mv.TruncationError) as err:
+            inv._canonical(bm, mv.Limits(max_steps=7))
+        assert err.value.limit == "steps"
+        assert str(err.value) == "phi's 8 orderings exceeded max_steps=7"
+        assert err.value.partial is None
+        # a word outside the census, as a covering's reduction in ``separate``
+        with pytest.raises(mv.TruncationError):
+            cz.CensusTable().phi_of(parse_nanoword("ABACBCDEDFEF:aabaab"), mv.Limits(max_steps=7))
+
     @pytest.mark.slow
     def test_pinned_at_seven_crossings(self):
         # rho, phi, its order and the display tuple of the 182,149 depth-7
         # survivors, streamed
         digest, lines = hashlib.sha256(), 0
-        for s, _ in cz._survivors(7, cz.DEFAULT_MAX_MEMBERS, cz.DEFAULT_MAX_STEPS):
+        for s, _ in cz._survivors(7, mv.Limits()):
             nw = mv._decode(s)
             cf, order, display = inv._canonical(based_matrix(nw))
             digest.update(f"{nw} {cf.rho} {phi_string(cf.phi)} {','.join(order)} {phi_string(display)}\n".encode())

@@ -586,6 +586,13 @@ class TestReduce:
         assert err.value.limit == "members"
         assert str(err.value) == "insertion search from ABACBC:aab exceeded max_members=20"
 
+    def test_no_insertion_search_from_the_empty_word(self):
+        # ABAB:ab loses both letters to one H2a removal; no word is smaller
+        # than the empty one, so no escape is searched, under any limits
+        nw = parse_nanoword("ABAB:ab")
+        assert reduce_to_irreducible(nw, max_extra_letters=7) == EMPTY
+        assert reduce_to_irreducible(nw, max_extra_letters=1, max_members=1, max_steps=0) == EMPTY
+
     def test_truncation_same_on_a_warm_memo(self):
         # ABACBC:aab is irreducible, and its 3-class has 6 members with one
         # step each; a class its search filed answers only under limits

@@ -1,6 +1,6 @@
 """The package has no runtime dependencies: ``pyproject.toml`` declares
 none, and its modules import only the standard library and the package
-itself."""
+itself.  Its internal functions take the search limits as one value."""
 
 import ast
 import sys
@@ -39,3 +39,14 @@ def test_modules_import_only_the_standard_library():
     for path in paths:
         outside = _imported_roots(path) - set(sys.stdlib_module_names) - {PACKAGE}
         assert not outside, (path.name, outside)
+
+
+def test_internals_take_limits_as_one_value():
+    # public functions keep both keyword arguments and build one
+    # ``moves.Limits``; no private function takes the loose pair
+    for path in sorted((ROOT / "src" / PACKAGE).glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name.startswith("_"):
+                args = node.args
+                names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+                assert not {"max_members", "max_steps"} <= names, (path.name, node.name)
