@@ -305,20 +305,6 @@ def _record_id(n: int, k: int) -> str:
     return "0" if n == 0 else f"{n}.{k}"
 
 
-def _covering_radii(stats: invariants.LetterStats) -> dict[tuple[str, ...], list[int]]:
-    """The radii r = 2 .. max|n(X)|+1, grouped by the letters X their
-    r-covering keeps (r | n(X), alphabetical), in order of first radius.
-
-    Every r past max|n(X)| keeps what max|n(X)|+1 keeps.  Empty when
-    every n-value is 0: each covering is then the word itself.
-    """
-    top = max(map(abs, stats.n.values()), default=0)
-    radii: dict[tuple[str, ...], list[int]] = {}
-    for r in range(2, top + 2):
-        radii.setdefault(invariants._kept(stats.nanoword, r, stats), []).append(r)
-    return radii
-
-
 class Separation(NamedTuple):
     """What :func:`separate` computes for one irreducible word."""
 
@@ -331,7 +317,7 @@ def separate(
     nw: Nanoword,
     census: CensusTable,
     limits: Limits = Limits(),
-    reduced: dict[tuple[str, str], Nanoword] | None = None,
+    reduced: dict[moves.State, Nanoword] | None = None,
 ) -> Separation:
     """Invariants and separation key ``(rho, phi, cover_phis)`` of ``nw``.
 
@@ -344,10 +330,11 @@ def separate(
     text is that of ``nw``.  Words with different keys are different
     strings.
 
-    ``reduced`` maps the ``(word, types)`` text of normalized coverings
-    to their reductions under the same limits; it is read and filled,
-    so callers separating many words can share it.  ``limits`` bounds
-    those reductions and the orderings of each phi.
+    ``reduced`` maps the encoded ``moves.State`` of coverings, each built
+    from ``nw``'s letters with no text between, to their reductions
+    under the same limits; it is read and filled, so callers separating
+    many words can share it.  ``limits`` bounds those reductions and the
+    orderings of each phi.
     """
     if reduced is None:
         reduced = {}
@@ -355,12 +342,15 @@ def separate(
     cf, _, display = invariants._canonical(invariants.based_matrix(nw, stats), limits)
     covers: dict[int, Nanoword | None] = {}
     phis: dict[int, tuple[int, ...]] = {}
-    for keep, radii in _covering_radii(stats).items():
-        text = invariants._covering_text(nw, keep)
-        if text == (nw.word, nw.types):
+    bits = {x: t == words.TYPE_B for x, t in zip(nw.letters, nw.types)}
+    for keep, radii in invariants._covering_radii(stats).items():
+        # the covering's text is nw's own iff it keeps every letter of a normal form
+        if len(keep) == len(bits) and words.is_increasing(nw):
             red = None
-        elif (red := reduced.get(text)) is None:
-            red = reduced[text] = moves.reduce_to_irreducible(Nanoword(*text), 0, *limits)
+        else:
+            sub = moves._norm([x for x in nw.word if x in keep], bits)
+            if (red := reduced.get(sub)) is None:
+                red = reduced[sub] = moves._reduce(sub, 0, limits)
         covers[radii[0]] = red
         phis.update(dict.fromkeys(radii, cf.phi if red is None else census.phi_of(red, limits)))
     seq = [phis[r] for r in sorted(phis)] or [cf.phi]
@@ -381,8 +371,7 @@ def lookup(
     ``insert_budget`` lets the reduction hunt for crossing-count escapes
     through temporarily larger words.
     """
-    reduced = moves.reduce_to_irreducible(nw, insert_budget, *limits)
-    return census.entry_of(reduced, limits)
+    return census.entry_of(moves._reduce(moves._encode(nw), insert_budget, limits), limits)
 
 
 def entry_name(entry: StringRecord | UnresolvedGroup | None) -> str:

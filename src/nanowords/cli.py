@@ -177,7 +177,7 @@ def cmd_invariants(args) -> int:
     cf, _, display = invariants._canonical(invariants.based_matrix(nw, stats))
     covers = {
         r: str(invariants.covering_raw(nw, r, stats))
-        for r, *_ in cz._covering_radii(stats).values()
+        for r, *_ in invariants._covering_radii(stats).values()
     }
     if args.json:
         json.dump(

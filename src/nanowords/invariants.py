@@ -4,7 +4,8 @@ Three layers:
 
 * linking numbers, the per-letter sums n(X), and the u-polynomial
   u(t) = sum_k u_k t^k with u_k = #{n(X) = k} - #{n(X) = -k};
-* r-coverings: the sub-nanoword on letters whose n(X) is divisible by r;
+* r-coverings: the sub-nanoword on letters whose n(X) is divisible by r,
+  and the radii grouped by the letters they keep (``_covering_radii``);
 * the based matrix (G, s, b): a skew-symmetric integer pairing on the
   crossings plus a special element s, its reduction to primitive form,
   and a canonical description of the primitive matrix that decides
@@ -25,12 +26,12 @@ position.  For g in {s} + letters and a letter h != g:
 and b(h, g) = -b(g, h).  The first term is where h's loop turns at its
 own crossing, the sum where both loops pass through another one.
 
-Per Gauss word, a bounded table (``_word_table``) holds what does not
-depend on the types: for each letter X and each of its two types, the
-masks G1, G2 of the letters whose first and second occurrence X's loop
-passes (for s, every letter).  With A and B the masks of the type-a and
-type-b letters, and H1, H2 also holding h itself (that Z = h term is the
-turn term), an entry is, as A and B are disjoint,
+Per Gauss word, a bounded, immutable table (``_word_table``) holds what
+does not depend on the types: for each letter X and each of its two
+types, the masks G1, G2 of the letters whose first and second occurrence
+X's loop passes (for s, every letter).  With A and B the masks of the
+type-a and type-b letters, and H1, H2 also holding h itself (that Z = h
+term is the turn term), an entry is, as A and B are disjoint,
 
     popcount(G1 & H2 & A | G2 & H1 & B)
       - popcount(G1 & H2 & B | G2 & H1 & A).
@@ -45,7 +46,7 @@ import operator
 from dataclasses import dataclass
 
 from .moves import Limits
-from .words import _ALPHA, TYPE_A, Nanoword
+from .words import TYPE_A, Nanoword, normalize_increasing
 
 # Orientation conventions, pinned by the worked example of the reference
 # tables (see tests).  The formula fixes two binary choices: a type-a
@@ -64,12 +65,11 @@ _WORD_TABLE_SIZE = 512
 
 @functools.lru_cache(maxsize=_WORD_TABLE_SIZE)
 def _word_table(word: str):
-    """``(letters, loops, pairs, kept)``: letter k is ``letters[k]``
-    (alphabetical) and bit k of a mask; ``loops[k][t]`` is (G1, G2) for
-    letter k of type a (t = 0) or b (t = 1); ``pairs`` holds (x, y, p1,
-    p2) per alternating pair x < y, with the parity of y's occurrences
-    before x's first (p1) and second (p2) occurrence; ``kept``, filled by
-    :func:`covering`, maps kept letters to a normal form."""
+    """``(letters, loops, pairs)``, all immutable: letter k is
+    ``letters[k]`` (alphabetical) and bit k of a mask; ``loops[k][t]`` is
+    (G1, G2) for letter k of type a (t = 0) or b (t = 1); ``pairs`` holds
+    (x, y, p1, p2) per alternating pair x < y, with the parity of y's
+    occurrences before x's first (p1) and second (p2) occurrence."""
     letters = tuple(sorted(set(word)))
     index = {x: k for k, x in enumerate(letters)}
     pos = [(word.index(x), word.rindex(x)) for x in letters]
@@ -88,7 +88,7 @@ def _word_table(word: str):
         (x1, x2), (y1, y2) = pos[x], pos[y]
         if (x1 < y1 < x2) != (x1 < y2 < x2):
             pairs.append((x, y, ((y1 < x1) + (y2 < x1)) % 2, ((y1 < x2) + (y2 < x2)) % 2))
-    return letters, tuple(loops), tuple(pairs), {}
+    return letters, tuple(loops), tuple(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +124,7 @@ def _signs(nw: Nanoword):
     type a, and read y's type (a: +1).  The rotation stops at x's first
     or, for x of type b, second occurrence, and flips y once per
     occurrence of y before that stop."""
-    letters, _, pairs, _ = _word_table(nw.word)
+    letters, _, pairs = _word_table(nw.word)
     is_a = [t == TYPE_A for t in nw.types]
     for x, y, p1, p2 in pairs:
         yield letters[x], letters[y], 1 if is_a[y] != (p1 if is_a[x] else p2) else -1
@@ -194,7 +194,7 @@ def covering_raw(nw: Nanoword, r: int, stats: LetterStats | None = None) -> Nano
 
 def covering(nw: Nanoword, r: int, stats: LetterStats | None = None) -> Nanoword:
     """The r-covering, increasing-normalized; r = 1 is the identity."""
-    return nw if r == 1 else Nanoword(*_covering_text(nw, _kept(nw, r, stats)))
+    return nw if r == 1 else normalize_increasing(covering_raw(nw, r, stats))[0]
 
 
 def _kept(nw: Nanoword, r: int, stats: LetterStats | None) -> tuple[str, ...]:
@@ -205,17 +205,18 @@ def _kept(nw: Nanoword, r: int, stats: LetterStats | None) -> tuple[str, ...]:
     return tuple(x for x in nw.letters if n[x] % r == 0)
 
 
-def _covering_text(nw: Nanoword, keep: tuple[str, ...]) -> tuple[str, str]:
-    """``(word, types)`` of the increasing-normalized sub-nanoword of
-    ``nw`` on the letters ``keep`` (alphabetical), its normal form read
-    from, or filed in, the word table's ``kept`` map."""
-    kept = _word_table(nw.word)[3]
-    if keep not in kept:
-        # :func:`words.normalize_increasing` of the word on ``keep``
-        rename = dict(zip(dict.fromkeys(x for x in nw.word if x in keep), _ALPHA))
-        kept[keep] = "".join(rename[x] for x in nw.word if x in rename), tuple(rename)
-    word, old = kept[keep]
-    return word, "".join(map(nw.type_map.__getitem__, old))
+def _covering_radii(stats: LetterStats) -> dict[tuple[str, ...], list[int]]:
+    """The radii r = 2 .. max|n(X)|+1, grouped by the letters X their
+    r-covering keeps (r | n(X), alphabetical), in order of first radius.
+
+    Every r past max|n(X)| keeps what max|n(X)|+1 keeps.  Empty when
+    every n-value is 0: each covering is then the word itself.
+    """
+    top = max(map(abs, stats.n.values()), default=0)
+    radii: dict[tuple[str, ...], list[int]] = {}
+    for r in range(2, top + 2):
+        radii.setdefault(_kept(stats.nanoword, r, stats), []).append(r)
+    return radii
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +277,7 @@ def based_matrix(nw: Nanoword, stats: LetterStats | None = None) -> BasedMatrix:
     from the linking numbers (``stats``, the n-values of ``nw``, computed
     here when not given); this is enforced as a postcondition.
     """
-    letters, table, _, _ = _word_table(nw.word)
+    letters, table, _ = _word_table(nw.word)
     m = len(letters)
     every = (1 << m) - 1
     A = sum(1 << k for k, t in enumerate(nw.types) if t == TYPE_A)

@@ -55,21 +55,23 @@ mask; nothing is sized by 2^n.
 
 Outside the walk a state is tested for a removal by a scan with no table
 (``_first_removal``), so a table is built only for an expanded word:
-``three_class`` and ``reduce_to_irreducible`` meet mostly words no other
-query shares.  The walk meets each Gauss word under many masks and
-expands it by its table anyway, so it tests by the table; by the scan,
+``three_class`` and the reduction meet mostly words no other query
+shares.  The walk meets each Gauss word under many masks and expands it
+by its table anyway, so it tests by the table; by the scan,
 ``candidates(6)`` took 0.41-0.51 s of CPU, not 0.26-0.33 s (three
-interleaved fresh runs, 2-vCPU x86_64).  ``reduce_to_irreducible``
-files each irreducible 3-class it searches to the end in a bounded memo
+interleaved fresh runs, 2-vCPU x86_64).  The reduction files each
+irreducible 3-class it searches to the end in a bounded memo
 (``_CLASS_MEMO``): such a search admits the same members and makes the
 same steps from any start.
 
-A ``Nanoword`` is built only where a state leaves as text: by ``_decode``
-and, for the walk's survivors, by ``census._decoded``, which joins each
-Gauss word's text once for all its masks.  Either builds through the
-validating constructor, with the type word read off the mask.
-``_encode`` reads a nanoword's word and type word in one pass and never
-fills its cached ``letters`` or ``type_map``.
+The reduction's body, ``_reduce``, takes a state; ``census.separate``
+builds each covering's state from its word's letters (``_norm``), with
+no text between.  A ``Nanoword`` is built only where a state leaves as
+text: by ``_decode`` and, for the walk's survivors, by
+``census._decoded``, which joins each Gauss word's text once for all its
+masks.  Either builds through the validating constructor, with the type
+word read off the mask.  ``_encode`` reads a nanoword's word and type
+word in one pass and never fills its cached ``letters`` or ``type_map``.
 """
 
 from __future__ import annotations
@@ -727,13 +729,17 @@ def reduce_to_irreducible(
     iff size > ``max_members`` or steps > ``max_steps``; otherwise the
     memo's least member is its answer.
     """
-    state, limits = _encode(nw), Limits(max_members, max_steps)
+    return _reduce(_encode(nw), max_extra_letters, Limits(max_members, max_steps))
+
+
+def _reduce(state: State, max_extra_letters: int, limits: Limits) -> Nanoword:
+    """:func:`reduce_to_irreducible` from an encoded state."""
     while True:
         if (letters := _first_removal(state)) is not None:
             state = _without(state, letters)
             continue
         least, size, steps = _CLASS_MEMO.get(state, (None, 0, 0))
-        if least is None or size > max_members or steps > max_steps:
+        if least is None or size > limits.max_members or steps > limits.max_steps:
             seen, found, limit, steps = _explore(state, _neighbors, _first_removal, limits)
             if limit is not None:
                 current = _decode(state)

@@ -3,8 +3,13 @@ import functools
 import hashlib
 import itertools
 import json
+import math
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 import nanowords.census as cz
 import nanowords.cli as cli
 import nanowords.moves as mv
-from nanowords.invariants import string_phi, u_polynomial
+from nanowords.invariants import covering, n_values, string_phi, u_polynomial
 from nanowords.words import (
     EMPTY,
     INVERSE,
@@ -27,7 +32,7 @@ from nanowords.words import (
 )
 
 import golden
-from conftest import clear_class_memo, disguise, random_renaming
+from conftest import clear_class_memo, disguise, random_nanoword, random_renaming
 
 
 class TestGenerator:
@@ -577,8 +582,8 @@ class TestCensus5:
             reductions += sum(red is not None for red in fresh.covers.values())
         # 52 distinct coverings among 920 reductions
         assert len(reduced) < reductions / 10
-        for text, red in reduced.items():
-            assert red == mv.reduce_to_irreducible(Nanoword(*text))
+        for state, red in reduced.items():
+            assert red == mv.reduce_to_irreducible(mv._decode(state))
 
     @pytest.mark.parametrize(
         "rid,text,key,covers",
@@ -619,6 +624,35 @@ class TestCensus5:
             [2] if rid in ("5.326", "5.327") else []
         )
 
+    def test_coverings_of_words_not_in_normal_form(self, census5):
+        # census5 records and nonempty reduced random words, each with a
+        # random renaming: a covering is None exactly when it is the word
+        # itself, and otherwise its reduction; a renamed copy keeps the
+        # word's key.  The 10 records whose n-values share a factor r >= 2,
+        # and so have an r-covering keeping every letter, are all drawn.
+        rng = random.Random(33)
+        whole = [r.nanoword for r in census5.records if math.gcd(*n_values(r.nanoword).n.values()) > 1]
+        rest = [r.nanoword for r in census5.records if r.nanoword not in whole]
+        drawn = whole + rng.sample(rest, 100 - len(whole))
+        while len(drawn) < 200:
+            if (nw := mv.reduce_to_irreducible(random_nanoword(rng, rng.randint(1, 8)))).crossings:
+                drawn.append(nw)
+        selves = whole_reduced = 0
+        for nw in drawn:
+            copy = random_renaming(rng, nw)
+            assert cz.separate(copy, census5).key == cz.separate(nw, census5).key, (nw, copy)
+            for word in (nw, copy):
+                for r, red in cz.separate(word, census5).covers.items():
+                    cover = covering(word, r)
+                    if cover == word:
+                        assert red is None, (word, r)
+                        selves += 1
+                    else:
+                        assert red == mv.reduce_to_irreducible(cover), (word, r)
+                        whole_reduced += cover.crossings == word.crossings
+        # both branches are met, and a whole covering of a renamed copy is reduced
+        assert len(whole) == 10 and selves == whole_reduced == 10
+
 
 def census_digest(census):
     tables = cz.build_tables(census)
@@ -631,10 +665,23 @@ def test_pinned_census_at_five_crossings():
     )
 
 
+CENSUS6_DIGEST = "511736b1257b1e4601738bc81d55501056cd589f69f9abeb67f20dac6ac08fdd"
+
+
 def test_pinned_census_at_six_crossings(census6):
-    assert census_digest(census6) == (
-        "511736b1257b1e4601738bc81d55501056cd589f69f9abeb67f20dac6ac08fdd"
-    )
+    assert census_digest(census6) == CENSUS6_DIGEST
+
+
+@pytest.mark.slow
+def test_census_independent_of_the_hash_seed():
+    # str hashes are salted per process: a census built under either seed
+    # gives the pinned digest, so no output follows a set or dict of text
+    script = "import test_census as t; print(t.census_digest(t.cz.build_census(6, warn=lambda m: None)))"
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(Path(cz.__file__).parents[1])}
+        run = subprocess.run([sys.executable, "-c", script], cwd=Path(__file__).parent, env=env,
+                             capture_output=True, text=True, check=True)
+        assert run.stdout.strip() == CENSUS6_DIGEST, seed
 
 
 def test_pinned_cache_bytes_at_five_crossings(tmp_path):

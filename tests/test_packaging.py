@@ -1,6 +1,7 @@
 """The package has no runtime dependencies: ``pyproject.toml`` declares
 none, and its modules import only the standard library and the package
-itself.  Its internal functions take the search limits as one value."""
+itself.  Its internal functions take the search limits as one value, and
+the CLI reads only the census module's public names."""
 
 import ast
 import sys
@@ -50,3 +51,20 @@ def test_internals_take_limits_as_one_value():
                 args = node.args
                 names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
                 assert not {"max_members", "max_steps"} <= names, (path.name, node.name)
+
+
+def test_cli_reads_no_census_private():
+    # a helper both modules need lives in the module that owns it
+    path = ROOT / "src" / PACKAGE / "cli.py"
+    tree = ast.parse(path.read_text(), str(path))
+    names, private = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in (None, PACKAGE):
+            names.update(a.asname or a.name for a in node.names if a.name == "census")
+        elif isinstance(node, ast.ImportFrom) and node.module in ("census", f"{PACKAGE}.census"):
+            private += [a.name for a in node.names if a.name.startswith("_")]
+    assert names
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in names:
+            private += [node.attr] if node.attr.startswith("_") else []
+    assert private == []
